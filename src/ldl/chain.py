@@ -27,7 +27,7 @@ from .games import Game, OnePopGame, TwoPopGame
 
 State = tuple  # tuple[int, ...] (one-pop) or (tuple[int, ...], tuple[int, ...])
 
-INVARIANT_MEASURE_STATE_CAP = 50_000
+KERNEL_STATE_CAP = 50_000  # states (or state pairs) of an exact kernel
 
 
 class CostRule(Enum):
@@ -103,6 +103,8 @@ def move_between(x: State, y: State) -> Move:
 
 def convention_state(game: Game, n: int, m: int) -> State:
     """The monomorphic state where every agent plays ``m``."""
+    if not 0 <= m < game.k:
+        raise ConditionError(f"convention {m + 1} outside 1..{game.k} (1-based)")
     e = tuple(n if i == m else 0 for i in range(game.k))
     if isinstance(game, TwoPopGame):
         return (e, e)
@@ -182,11 +184,8 @@ def hat_s(game: TwoPopGame, pop: str, state: State) -> frozenset[int]:
     convention payoff of every current best reply of ``pop``.
     """
     pay = _pop_payoffs(game, state, pop)
-    best = pay.max()
-    mat = game.matrix(pop)
-    current = [m for m in range(game.k) if pay[m] == best]
-    cutoff = max(mat[m, m] for m in current)
-    return frozenset(l for l in range(game.k) if mat[l, l] >= cutoff)
+    costs = _choice_costs(game, CostRule.INTENTIONAL, pay, 0, pop)
+    return frozenset(np.flatnonzero(np.isfinite(costs)).tolist())
 
 
 def step_cost(game: Game, rule: CostRule, state: State, move: Move) -> float:
@@ -195,70 +194,44 @@ def step_cost(game: Game, rule: CostRule, state: State, move: Move) -> float:
     Nonnegative; zero exactly on best-response targets; +inf for moves the
     intentional rule forbids.
     """
+    counts, pay = _reviser(game, state, move)
+    if counts[move.src] < 1:
+        who = "agent" if move.pop is None else f"{move.pop} agent"
+        raise InfeasibleMoveError(f"no {who} plays strategy {move.src}")
+    return float(_choice_costs(game, rule, pay, move.src, move.pop)[move.dst])
+
+
+def _reviser(game: Game, state: State, move: Move) -> tuple:
+    """Counts of the mover's population and the payoffs its revisers face."""
     if isinstance(game, TwoPopGame):
         if move.pop not in ("alpha", "beta"):
             raise ConditionError("two-population moves need pop='alpha' or 'beta'")
-        side = 0 if move.pop == "alpha" else 1
-        if state[side][move.src] < 1:
-            raise InfeasibleMoveError(
-                f"no {move.pop} agent plays strategy {move.src}"
-            )
-        pay = _pop_payoffs(game, state, move.pop)
-        if rule is CostRule.LOGIT:
-            return float(pay.max() - pay[move.dst])
-        if rule is CostRule.INTENTIONAL:
-            if move.dst not in hat_s(game, move.pop, state):
-                return math.inf
-            return float(pay.max() - pay[move.dst])
-        if rule is CostRule.UNIFORM:
-            return 0.0 if pay[move.dst] == pay.max() else 1.0
-        if rule is CostRule.BETTER_REPLY:
-            return float(max(pay[move.src] - pay[move.dst], 0.0))
-        raise UnsupportedRuleError(f"unknown rule {rule}")
+        counts = state[0 if move.pop == "alpha" else 1]
+        return counts, _pop_payoffs(game, state, move.pop)
     if move.pop is not None:
         raise ConditionError("one-population moves must not carry a pop tag")
-    if state[move.src] < 1:
-        raise InfeasibleMoveError(f"no agent plays strategy {move.src}")
-    pi = payoff_vector(game, state)
-    if rule is CostRule.LOGIT:
-        return float(pi.max() - pi[move.dst])
-    if rule is CostRule.UNIFORM:
-        return 0.0 if pi[move.dst] == pi.max() else 1.0
-    if rule is CostRule.BETTER_REPLY:
-        return float(max(pi[move.src] - pi[move.dst], 0.0))
-    if rule is CostRule.INTENTIONAL:
-        raise UnsupportedRuleError(
-            "the intentional rule is defined for two-population games only"
-        )
-    raise UnsupportedRuleError(f"unknown rule {rule}")
+    return state, payoff_vector(game, state)
 
 
-def _choice_costs(game: Game, rule: CostRule, state: State, src: int,
+def _choice_costs(game: Game, rule: CostRule, pay: np.ndarray, src: int,
                   pop: Optional[str]) -> np.ndarray:
-    """Cost of each possible choice (including re-choosing ``src``)."""
-    if isinstance(game, TwoPopGame):
-        pay = _pop_payoffs(game, state, pop)
-        if rule is CostRule.LOGIT:
-            return pay.max() - pay
-        if rule is CostRule.INTENTIONAL:
-            allowed = hat_s(game, pop, state)
-            costs = pay.max() - pay
-            return np.where(
-                [l in allowed for l in range(game.k)], costs, np.inf
-            )
-        if rule is CostRule.UNIFORM:
-            return np.where(pay == pay.max(), 0.0, 1.0)
-        if rule is CostRule.BETTER_REPLY:
-            return np.maximum(pay[src] - pay, 0.0)
-        raise UnsupportedRuleError(f"unknown rule {rule}")
-    pi = payoff_vector(game, state)
+    """Cost of each choice (re-choosing ``src`` included) of a reviser of
+    ``pop`` who now plays ``src`` and faces the payoffs ``pay``."""
     if rule is CostRule.LOGIT:
-        return pi.max() - pi
+        return pay.max() - pay
+    if rule is CostRule.INTENTIONAL:
+        if pop is None:
+            raise UnsupportedRuleError(
+                "the intentional rule is defined for two-population games only"
+            )
+        conv = np.diag(game.matrix(pop))
+        cutoff = max(conv[m] for m in range(game.k) if pay[m] == pay.max())
+        return np.where(conv >= cutoff, pay.max() - pay, np.inf)
     if rule is CostRule.UNIFORM:
-        return np.where(pi == pi.max(), 0.0, 1.0)
+        return np.where(pay == pay.max(), 0.0, 1.0)
     if rule is CostRule.BETTER_REPLY:
-        return np.maximum(pi[src] - pi, 0.0)
-    raise UnsupportedRuleError(f"rule {rule} has no one-population kernel")
+        return np.maximum(pay[src] - pay, 0.0)
+    raise UnsupportedRuleError(f"unknown rule {rule}")
 
 
 def _choice_probabilities(costs: np.ndarray, beta: float) -> np.ndarray:
@@ -272,6 +245,11 @@ def _choice_probabilities(costs: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _check_beta(beta: float) -> None:
+    if not np.isfinite(beta) or beta < 0:
+        raise ConditionError("beta must be finite and nonnegative")
+
+
 def transition_probability(
     game: Game, rule: CostRule, state: State, move: Move, beta: float
 ) -> float:
@@ -283,26 +261,15 @@ def transition_probability(
     the logit rules this is the standard logit kernel; self-transitions
     absorb the remaining mass.
     """
-    if not np.isfinite(beta) or beta < 0:
-        raise ConditionError("beta must be finite and nonnegative")
-    if isinstance(game, TwoPopGame):
-        side = 0 if move.pop == "alpha" else 1
-        counts = state[side]
-        n = sum(counts)
-        if counts[move.src] < 1:
-            return 0.0
-        probs = _choice_probabilities(
-            _choice_costs(game, rule, state, move.src, move.pop), beta
-        )
-        return 0.5 * counts[move.src] / n * float(probs[move.dst])
-    counts = state
-    n = sum(counts)
+    _check_beta(beta)
+    counts, pay = _reviser(game, state, move)
     if counts[move.src] < 1:
         return 0.0
     probs = _choice_probabilities(
-        _choice_costs(game, rule, state, move.src, None), beta
+        _choice_costs(game, rule, pay, move.src, move.pop), beta
     )
-    return counts[move.src] / n * float(probs[move.dst])
+    share = 0.5 if isinstance(game, TwoPopGame) else 1.0
+    return share * counts[move.src] / sum(counts) * float(probs[move.dst])
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +296,20 @@ def num_states(n: int, k: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-def comp_rank(counts: Sequence[int]) -> int:
-    """Colexicographic rank of a count vector among all of its (n, k) peers."""
+def comp_rank(counts: Sequence[int] | np.ndarray) -> int | np.ndarray:
+    """Colexicographic rank of a count vector among all of its (n, k) peers.
+
+    A 2-D integer array is ranked row by row in one pass.
+    """
+    cols = counts.T if isinstance(counts, np.ndarray) else counts
     r = 0
     s = 0
-    for i in range(1, len(counts)):
-        s += counts[i - 1]
-        r += math.comb(s + i - 1, i)
+    for i in range(1, len(cols)):
+        s = s + cols[i - 1]
+        term = 1  # comb(s + i - 1, i), built exactly one factor at a time
+        for t in range(1, i + 1):
+            term = term * (s - 1 + t) // t
+        r = r + term
     return r
 
 
@@ -349,65 +323,78 @@ def enumerate_states(n: int, k: int) -> Iterator[tuple]:
             yield head + (n - s,)
 
 
-def enumerate_two_pop_states(n: int, k: int) -> Iterator[State]:
-    for a in enumerate_states(n, k):
-        for b in enumerate_states(n, k):
-            yield (a, b)
-
-
-def moves_from(game: Game, state: State) -> Iterator[Move]:
-    """Feasible single-agent moves out of ``state``, in canonical order."""
-    k = game.k
-    if isinstance(game, TwoPopGame):
-        for side, pop in ((0, "alpha"), (1, "beta")):
-            counts = state[side]
-            for i in range(k):
-                if counts[i] < 1:
-                    continue
-                for j in range(k):
-                    if j != i:
-                        yield Move(i, j, pop)
-        return
-    for i in range(k):
-        if state[i] < 1:
-            continue
-        for j in range(k):
-            if j != i:
-                yield Move(i, j)
-
-
 # ---------------------------------------------------------------------------
 # Full revision kernel
 
 
 def transition_matrix(
     game: Game, n: int, beta: float, rule: CostRule = CostRule.LOGIT,
-    guardrail: int = INVARIANT_MEASURE_STATE_CAP,
+    guardrail: int = KERNEL_STATE_CAP, *, banded: bool = False,
 ) -> tuple[list, np.ndarray]:
-    """Dense one-step kernel over the enumerated state space.
+    """One-step kernel over the enumerated (colex-ordered) state space.
 
     Returns (states, P) with P[a, b] the probability of moving from
-    states[a] to states[b]; rows sum to one.
+    states[a] to states[b]; rows sum to one.  With ``banded``, P is the
+    N x (2w + 1) band ``P[a, b - a + w]``, w the largest rank shift of one
+    move: n + 1 for one population with three strategies, that times the
+    side's state count for two populations.
     """
-    if isinstance(game, TwoPopGame):
-        total = num_states(n, game.k) ** 2
-        if total > guardrail:
-            raise GuardrailExceeded(f"{total} state pairs exceeds cap {guardrail}")
-        states = list(enumerate_two_pop_states(n, game.k))
+    if n < 1:
+        raise ConditionError(f"population size n={n} must be at least 1")
+    _check_beta(beta)
+    two_pop = isinstance(game, TwoPopGame)
+    k = game.k
+    side_states = list(enumerate_states(n, k))
+    M = len(side_states)
+    size = M * M if two_pop else M
+    if size > guardrail:
+        what = "state pairs" if two_pop else "states"
+        raise GuardrailExceeded(f"{size} {what} exceeds cap {guardrail}")
+    counts = np.array(side_states)
+    a = np.arange(size)
+    # Per population: its side index in each state, the rank stride of that
+    # index, the index of the side whose counts its revisers face, and how
+    # the payoffs follow from those counts.
+    if two_pop:
+        states = [(x, y) for x in side_states for y in side_states]
+        pops = (("alpha", a // M, M, a % M, payoff_vector_alpha),
+                ("beta", a % M, 1, a // M, payoff_vector_beta))
+        share = 0.5 * counts / n
     else:
-        total = num_states(n, game.k)
-        if total > guardrail:
-            raise GuardrailExceeded(f"{total} states exceeds cap {guardrail}")
-        states = list(enumerate_states(n, game.k))
-    index = {s: a for a, s in enumerate(states)}
-    P = np.zeros((len(states), len(states)))
-    for a, s in enumerate(states):
-        acc = 0.0
-        for mv in moves_from(game, s):
-            p = transition_probability(game, rule, s, mv, beta)
-            if p == 0.0:
-                continue
-            P[a, index[apply_move(s, mv)]] += p
-            acc += p
-        P[a, a] += 1.0 - acc
+        states = side_states
+        pops = ((None, a, 1, a, payoff_vector),)
+        share = counts / n
+    unit = np.eye(k, dtype=int)
+    stay = np.zeros(size)
+    rows, cols, vals = [], [], []
+    for pop, mine, stride, faced, payoffs in pops:
+        # only the better-reply rule looks at the reviser's own strategy
+        own = range(k) if rule is CostRule.BETTER_REPLY else range(1)
+        q = np.array([
+            [_choice_probabilities(_choice_costs(game, rule, pay, i, pop), beta)
+             for i in own]
+            for pay in (payoffs(game, c) for c in counts)
+        ])
+        q = np.broadcast_to(q, (M, k, k))  # q[c, i, j]: a reviser playing i picks j
+        for i in range(k):  # source, then target: ``stay`` sums as a per-move loop
+            ok = counts[mine, i] > 0
+            for j in range(k):
+                if j == i:
+                    continue
+                p = share[mine, i] * q[faced, i, j]
+                stay += p  # infeasible moves carry probability 0
+                dst = comp_rank(counts - unit[i] + unit[j])
+                rows.append(a[ok])
+                cols.append((a + (dst[mine] - mine) * stride)[ok])
+                vals.append(p[ok])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    w = int(np.abs(cols - rows).max())
+    band = np.zeros((size, 2 * w + 1))
+    band[rows, cols - rows + w] = np.concatenate(vals)
+    band[:, w] = 1.0 - stay
+    if banded:
+        return states, band
+    P = np.zeros((size, size))
+    r, d = np.nonzero(band)
+    P[r, r + d - w] = band[r, d]
     return states, P

@@ -145,7 +145,7 @@ def _frontier(args) -> bargaining.Frontier:
 def cmd_validate(args) -> int:
     game = _load_game(args.game)
     if isinstance(game, TwoPopGame):
-        m = (args.convention or 1) - 1
+        m = (1 if args.convention is None else args.convention) - 1
         report = validate_two_pop(game, m)
     else:
         report = validate_one_pop(game)
@@ -308,7 +308,7 @@ def cmd_stability(args) -> int:
     if args.invariant:
         if not args.n or not args.beta:
             raise ConditionError("--invariant needs --n and --beta")
-        target = (args.convention - 1) if args.convention else stable
+        target = stable if args.convention is None else args.convention - 1
         if target is None:
             raise ConditionError(
                 "no stable candidate to trace; pass --convention explicitly"
@@ -316,7 +316,7 @@ def cmd_stability(args) -> int:
         n = _parse_ints(args.n)[0]
         rows = []
         for b in _parse_floats(args.beta):
-            mass = stability.convention_mass(game, n, b, target, rule)
+            mass = stability.convention_mass(game, n, b, target, rule, guardrail)
             rows.append((b, target + 1, mass))
         sections.append(
             Section("invariant_mass", ["beta", "convention", "mass"], rows,

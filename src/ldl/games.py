@@ -328,7 +328,7 @@ def validate_two_pop(game: TwoPopGame, m: int) -> ConditionReport:
     a, b = game.alpha, game.beta
     k = game.k
     if not 0 <= m < k:
-        raise ConditionError(f"convention index {m} out of range")
+        raise ConditionError(f"convention {m + 1} outside 1..{k} (1-based)")
     coordination = all(
         a[i, i] > a[j, i] and b[i, i] > b[i, j]
         for i in range(k)

@@ -11,7 +11,14 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import CostRule, convention_state, transition_matrix
+from .chain import (
+    KERNEL_STATE_CAP,
+    CostRule,
+    comp_rank,
+    convention_state,
+    num_states,
+    transition_matrix,
+)
 from .errors import ConditionError, GuardrailExceeded, LdlError, UnsupportedRuleError
 from .escape import (
     EscapeResult,
@@ -26,8 +33,6 @@ from .escape import (
 from .games import TwoPopGame
 
 NEAR_TIE = 1e-9
-DENSE_SOLVE_CAP = 2_000
-INVARIANT_STATE_CAP = 50_000
 EXHAUSTIVE_TREE_CAP = 9
 BETA_CAP = 64.0
 
@@ -344,37 +349,46 @@ def arborescence_root(values: np.ndarray, method: str = "auto") -> ArborescenceR
 # Exact stationary distributions
 
 
-def _gth_stationary(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution by state-censoring elimination.
+_UNDERFLOW = ("stationary solve lost conditioning: transition weights "
+              "underflow at this noise level")
 
+
+def _gth_stationary(band: np.ndarray) -> np.ndarray:
+    """Stationary distribution by GTH state-censoring elimination over the
+    band ``band[i, j - i + w] = P[i, j]``, in a copy of it.
+
+    Eliminating from the last state keeps the fill inside the band.
     Subtraction-free, so it stays accurate on stiff kernels (large beta)
     where a generic LU solve of pi P = pi loses the tiny couplings.
     """
-    A = np.array(P, dtype=float)
-    size = A.shape[0]
+    band = np.array(band, dtype=float)
+    size, width = band.shape
+    w = width // 2
+    # A[i, j] is band[i, j - i + w]; only entries with |i - j| <= w are read
+    step = band.strides[1]
+    A = np.lib.stride_tricks.as_strided(
+        band.reshape(-1)[w:], shape=(size, size),
+        strides=(band.strides[0] - step, step),
+    )
     depart = np.empty(size)
     tiny = np.finfo(float).tiny
     for k in range(size - 1, 0, -1):
-        s = A[k, :k].sum()
+        lo = max(k - w, 0)
+        s = A[k, lo:k].sum()
         if s <= tiny:
-            raise LdlError(
-                "stationary solve lost conditioning: transition weights "
-                "underflow at this noise level"
-            )
+            raise LdlError(_UNDERFLOW)
         depart[k] = s
-        A[k, :k] /= s
-        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+        A[k, lo:k] /= s
+        A[lo:k, lo:k] += np.outer(A[lo:k, k], A[k, lo:k])
     with np.errstate(over="raise", invalid="raise"):
         try:
             x = np.zeros(size)
             x[0] = 1.0
             for k in range(1, size):
-                x[k] = (x[:k] @ A[:k, k]) / depart[k]
+                lo = max(k - w, 0)
+                x[k] = (x[lo:k] @ A[lo:k, k]) / depart[k]
         except FloatingPointError as exc:
-            raise LdlError(
-                "stationary solve lost conditioning: transition weights "
-                "underflow at this noise level"
-            ) from exc
+            raise LdlError(_UNDERFLOW) from exc
     if not np.all(np.isfinite(x)):
         raise LdlError("stationary solve produced non-finite mass")
     return x / x.sum()
@@ -382,37 +396,32 @@ def _gth_stationary(P: np.ndarray) -> np.ndarray:
 
 def invariant_measure(
     game, n: int, beta: float, rule: CostRule = CostRule.LOGIT,
-    guardrail: int = INVARIANT_STATE_CAP,
+    guardrail: Optional[int] = None,
 ) -> tuple[list, np.ndarray]:
     """Exact stationary distribution of the revision chain.
 
-    Dense censoring elimination up to 2,000 states, deterministic power
-    iteration to a 1e-12 residual beyond.  The chain is irreducible for
-    finite beta, so the distribution is unique and strictly positive.
+    Banded GTH at every size: O(N b^2) time and O(N b) memory for N states
+    (at most ``guardrail``, default ``KERNEL_STATE_CAP``) and bandwidth b,
+    b = n + 1 for one population with three strategies.  The law is unique
+    for finite beta; an ``LdlError`` reports transition weights underflowing.
     """
-    states, P = transition_matrix(game, n, beta, rule, guardrail=guardrail)
-    size = len(states)
-    if size <= DENSE_SOLVE_CAP:
-        pi = _gth_stationary(P)
-    else:
-        pi = np.full(size, 1.0 / size)
-        for _ in range(200_000):
-            nxt = pi @ P
-            nxt /= nxt.sum()
-            if np.abs(nxt - pi).max() <= 1e-12:
-                pi = nxt
-                break
-            pi = nxt
-    pi = np.maximum(pi, 0.0)
-    pi /= pi.sum()
-    return states, pi
+    if guardrail is None:
+        guardrail = KERNEL_STATE_CAP
+    states, band = transition_matrix(game, n, beta, rule, guardrail, banded=True)
+    return states, _gth_stationary(band)
 
 
 def convention_mass(game, n: int, beta: float, m: int,
-                    rule: CostRule = CostRule.LOGIT) -> float:
-    states, pi = invariant_measure(game, n, beta, rule)
+                    rule: CostRule = CostRule.LOGIT,
+                    guardrail: Optional[int] = None) -> float:
+    """Stationary mass of the convention where everyone plays ``m``."""
     target = convention_state(game, n, m)
-    return float(pi[states.index(target)])
+    states, pi = invariant_measure(game, n, beta, rule, guardrail)
+    if isinstance(game, TwoPopGame):
+        index = comp_rank(target[0]) * num_states(n, game.k) + comp_rank(target[1])
+    else:
+        index = comp_rank(target)
+    return float(pi[index])
 
 
 def beta_ladder_trace(

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ldl import (
+    ConditionError,
     CostRule,
     Frontier,
     InfeasibleMoveError,
     Move,
     OnePopGame,
+    TwoPopGame,
     UnsupportedRuleError,
     apply_move,
     basin,
@@ -26,7 +28,13 @@ from ldl import (
 )
 from ldl.chain import comp_rank, enumerate_states, hat_s, num_states
 from ldl.errors import AdjacencyError
-from gamegen import TECH, TWO_STRATEGY, random_basin_states
+from gamegen import (
+    TECH,
+    TECH_UNEVEN,
+    TWO_STRATEGY,
+    random_basin_states,
+    random_condition_a_games,
+)
 
 
 def test_payoff_at_convention():
@@ -206,6 +214,89 @@ def test_transition_rows_sum_to_one_intentional_kernel():
         assert np.all(P >= 0)
 
 
+def _moves_from(game, state):
+    """Feasible single-agent moves out of ``state``, source then target."""
+    if isinstance(game, TwoPopGame):
+        sides = [(state[0], "alpha"), (state[1], "beta")]
+    else:
+        sides = [(state, None)]
+    for counts, pop in sides:
+        for i in range(game.k):
+            if counts[i] < 1:
+                continue
+            for j in range(game.k):
+                if j != i:
+                    yield Move(i, j, pop)
+
+
+def _per_move_kernel(game, n, beta, rule):
+    """The kernel built one move at a time from ``transition_probability``."""
+    if isinstance(game, TwoPopGame):
+        side = list(enumerate_states(n, game.k))
+        states = [(a, b) for a in side for b in side]
+    else:
+        states = list(enumerate_states(n, game.k))
+    index = {s: a for a, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for a, s in enumerate(states):
+        acc = 0.0
+        for mv in _moves_from(game, s):
+            p = transition_probability(game, rule, s, mv, beta)
+            if p == 0.0:
+                continue
+            P[a, index[apply_move(s, mv)]] += p
+            acc += p
+        P[a, a] += 1.0 - acc
+    return states, P
+
+
+ONE_POP_KERNELS = [TECH, TECH_UNEVEN, TWO_STRATEGY] + random_condition_a_games(
+    2, seed=5, k=4)
+TWO_POP_KERNELS = [ndg_build(Frontier(1, 3, 0.5), 4),
+                   TwoPopGame([[2, 0], [0, 1]], [[1, 0], [0, 2]])]
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 9.5, 300.0])
+def test_kernel_equals_per_move_oracle_one_pop(beta):
+    for game in ONE_POP_KERNELS:
+        for rule in (CostRule.LOGIT, CostRule.UNIFORM, CostRule.BETTER_REPLY):
+            for n in (1, 7):
+                states, P = transition_matrix(game, n, beta, rule)
+                want_states, want = _per_move_kernel(game, n, beta, rule)
+                assert states == want_states
+                assert np.array_equal(P, want)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 9.5])
+def test_kernel_equals_per_move_oracle_two_pop(beta):
+    for game in TWO_POP_KERNELS:
+        for rule in (CostRule.LOGIT, CostRule.INTENTIONAL):
+            for n in (1, 4):
+                states, P = transition_matrix(game, n, beta, rule)
+                want_states, want = _per_move_kernel(game, n, beta, rule)
+                assert states == want_states
+                assert np.array_equal(P, want)
+
+
+def test_banded_kernel_holds_the_dense_one():
+    for game, n in ((TECH, 9), (TWO_POP_KERNELS[0], 3)):
+        _, P = transition_matrix(game, n, 1.0)
+        _, band = transition_matrix(game, n, 1.0, banded=True)
+        w = (band.shape[1] - 1) // 2
+        rows, cols = np.nonzero(P)
+        assert np.abs(cols - rows).max() == w
+        assert np.array_equal(band[rows, cols - rows + w], P[rows, cols])
+        assert np.count_nonzero(band) == np.count_nonzero(P)
+
+
+def test_kernel_validates_n_and_beta():
+    with pytest.raises(ConditionError):
+        transition_matrix(TECH, 0, 1.0)
+    for beta in (-1.0, math.inf, math.nan):
+        with pytest.raises(ConditionError):
+            transition_matrix(TECH, 3, beta)
+
+
 def test_log_probability_recovers_cost():
     # -(1/beta) log p(move) -> step cost as beta grows
     beta = 50.0
@@ -224,3 +315,4 @@ def test_enumeration_count_and_colex_rank():
         assert len(states) == num_states(n, k)
         assert all(sum(s) == n for s in states)
         assert [comp_rank(s) for s in states] == list(range(len(states)))
+        assert comp_rank(np.array(states)).tolist() == list(range(len(states)))

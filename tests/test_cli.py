@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from ldl import OnePopGame, game_from_json, game_to_json
+from ldl import Frontier, OnePopGame, game_from_json, game_to_json, ndg_build
 from ldl.cli import main
 from gamegen import TECH, TWO_STRATEGY
 
@@ -132,6 +132,67 @@ def test_stability_invariant_trace_monotone(two_path, capsys):
     assert len(masses) == 4
     assert all(b > a for a, b in zip(masses, masses[1:]))
     assert masses[-1] > 0.5
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
+
+
+@pytest.mark.parametrize("game,argv,golden", [
+    ("two_strat.json", ["--n", "8", "--beta", "1,2,4,8"],
+     "stability_invariant.csv"),
+    ("tech_stat.json", ["--n", "24", "--beta", "1,2"],
+     "stability_invariant_tech.csv"),
+])
+def test_stability_invariant_csv_matches_golden(game, argv, golden, capsys):
+    code, out, _ = run(
+        capsys, "stability", os.path.join(BENCH, "data", game), *argv,
+        "--invariant", "--format", "csv",
+    )
+    assert code == 0
+    with open(os.path.join(BENCH, "golden", golden), encoding="utf-8",
+              newline="") as fh:
+        assert out == fh.read()
+
+
+def test_stability_invariant_guardrail_override(tech_path, capsys, monkeypatch):
+    monkeypatch.setenv("LDL_GUARDRAIL_STATES", "100")
+    code, _, err = run(
+        capsys, "stability", tech_path, "--n", "24", "--beta", "1", "--invariant",
+        "--convention", "1",
+    )
+    assert code == 3
+    assert "325 states exceeds cap 100" in err
+
+
+@pytest.mark.parametrize("convention", ["4", "-1", "0"])
+def test_stability_invariant_rejects_bad_convention(tech_path, capsys, convention):
+    code, out, err = run(
+        capsys, "stability", tech_path, "--n", "6", "--beta", "1", "--invariant",
+        f"--convention={convention}",
+    )
+    assert code == 2
+    assert f"convention {convention} outside 1..3" in err
+    assert "invariant_mass" not in out
+
+
+def test_validate_two_pop_convention_zero_is_not_unset(tmp_path, capsys):
+    p = tmp_path / "ndg.json"
+    p.write_text(game_to_json(ndg_build(Frontier(1, 3, 0.5), 4)))
+    code, _, err = run(capsys, "validate", str(p), "--convention", "0")
+    assert code == 2
+    assert "convention 0 outside 1..3" in err
+    code, _, _ = run(capsys, "validate", str(p))
+    assert code == 0
+
+
+def test_stability_invariant_rejects_empty_population(tech_path, capsys):
+    code, out, err = run(
+        capsys, "stability", tech_path, "--n", "0", "--beta", "1", "--invariant",
+        "--convention", "1",
+    )
+    assert code == 2
+    assert "n=0" in err
 
 
 def test_stability_oracle_roots(two_path, capsys):

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from ldl import (
+    ConditionError,
     CostRule,
     Frontier,
     GuardrailExceeded,
     Move,
     OnePopGame,
+    TwoPopGame,
     apply_move,
     arborescence_root,
     beta_ladder_trace,
@@ -22,11 +24,18 @@ from ldl import (
     ndg_build,
     radius_matrix,
     resolve_stability,
+    tech_game,
     transition_cost_bruteforce,
     transition_cost_matrix,
+    transition_matrix,
 )
 from ldl.chain import convention_state, path_cost
-from ldl.stability import cycles, _tree_cost_edmonds, _tree_cost_exhaustive
+from ldl.stability import (
+    convention_mass,
+    cycles,
+    _tree_cost_edmonds,
+    _tree_cost_exhaustive,
+)
 from gamegen import ROUTED, TECH, TECH_UNEVEN, TWO_STRATEGY, random_condition_a_games
 
 NDG = ndg_build(Frontier(1, 3, 0.5), 12)  # delta = 0.25, demands 1..11
@@ -314,3 +323,87 @@ def test_resolve_stability_oracle_fallback():
     assert 2 in analysis.oracle_roots
     assert analysis.measure_trace is not None
     assert analysis.measure_trace[-1][1] > 0.5
+
+
+# ---------------------------------------------------------------------------
+# Banded GTH against the dense elimination it replaced
+
+
+def _dense_gth(P):
+    """Dense GTH elimination over the full matrix, O(N^3): the reference.
+
+    Only called on well-conditioned kernels, so it has no underflow checks.
+    """
+    A = np.array(P, dtype=float)
+    size = A.shape[0]
+    depart = np.empty(size)
+    for k in range(size - 1, 0, -1):
+        depart[k] = A[k, :k].sum()
+        A[k, :k] /= depart[k]
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    x = np.zeros(size)
+    x[0] = 1.0
+    for k in range(1, size):
+        x[k] = (x[:k] @ A[:k, k]) / depart[k]
+    return x / x.sum()
+
+
+PAIR_2X2 = TwoPopGame([[2, 0], [0, 1]], [[1, 0], [0, 2]])
+SEEDED = random_condition_a_games(2, seed=31)
+BANDED_CASES = [(g, 20, f"seeded{i}") for i, g in enumerate(SEEDED)] + [
+    (ndg_build(Frontier(1, 3, 0.5), 4), 6, "ndg L=4"),  # bandwidth 196
+    (PAIR_2X2, 20, "pair 2x2"),
+]
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("game,n,label", BANDED_CASES,
+                         ids=[c[2] for c in BANDED_CASES])
+def test_banded_gth_matches_dense_gth(game, n, label, beta):
+    states, P = transition_matrix(game, n, beta)
+    want = _dense_gth(P)
+    got_states, got = invariant_measure(game, n, beta)
+    assert got_states == states
+    for m in range(game.k):
+        x = states.index(convention_state(game, n, m))
+        assert abs(got[x] - want[x]) <= 1e-12 * want[x]
+        assert convention_mass(game, n, beta, m) == got[x]
+
+
+def test_banded_bandwidths():
+    # a move shifts the colex rank by at most n + 1 (k = 3), times the
+    # side count 28 of the ndg game's own bandwidth 7 for two populations
+    _, band = transition_matrix(TECH, 30, 1.0, banded=True)
+    assert band.shape == (496, 2 * 31 + 1)
+    _, band = transition_matrix(ndg_build(Frontier(1, 3, 0.5), 4), 6, 1.0,
+                                banded=True)
+    assert band.shape == (784, 2 * 196 + 1)
+    _, band = transition_matrix(PAIR_2X2, 30, 1.0, banded=True)
+    assert band.shape == (961, 2 * 31 + 1)
+
+
+def test_invariant_measure_past_two_thousand_states():
+    # 2,016 states: a power iteration above 2,000 states returned masses
+    # (0.305, 0.334, 0.361) here; the stationary law sits on convention 3
+    game = tech_game(16, 17, 18, 1)
+    masses = [convention_mass(game, 62, 1.0, m) for m in range(3)]
+    assert masses[2] >= 0.99999
+    assert masses[0] < 1e-10 and masses[1] < 1e-10
+
+
+def test_invariant_entry_points_validate_their_inputs():
+    with pytest.raises(ConditionError):
+        invariant_measure(TECH, 0, 1.0)
+    with pytest.raises(ConditionError):
+        invariant_measure(TECH, 8, -1.0)
+    for m in (-1, 3):
+        with pytest.raises(ConditionError, match="outside 1..3"):
+            convention_mass(TECH, 8, 1.0, m)
+    with pytest.raises(ConditionError, match="outside 1..2"):
+        convention_mass(PAIR_2X2, 4, 1.0, 2)
+
+
+def test_convention_mass_honours_the_guardrail():
+    with pytest.raises(GuardrailExceeded):
+        convention_mass(TECH, 24, 1.0, 0, guardrail=100)  # 325 states
+    assert convention_mass(TECH, 24, 1.0, 0, guardrail=325) > 0
