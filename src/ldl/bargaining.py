@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConditionError
 
 RESIDUAL_TOL = 1e-10
-GRID_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -28,16 +27,9 @@ class Frontier:
     p: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and 0 < self.p < 1):
-            raise ConditionError("frontier needs a > 0, b > 0, 0 < p < 1")
-        xs = np.linspace(self.b * 1e-6, self.b * (1 - 1e-6), GRID_POINTS)
-        fs = self.value(xs)
-        d1 = self.derivative(xs)
-        if np.any(fs < 0) or np.any(d1 >= 0):
-            raise ConditionError("frontier fails positivity/monotonicity sampling")
-        d2 = np.diff(d1)
-        if np.any(d2 >= 0):
-            raise ConditionError("frontier fails concavity sampling")
+        if not (np.all(np.isfinite((self.a, self.b, self.p)))
+                and self.a > 0 and self.b > 0 and 0 < self.p < 1):
+            raise ConditionError("frontier needs finite a > 0, b > 0, 0 < p < 1")
 
     @property
     def s_bar(self) -> float:
@@ -145,12 +137,18 @@ def rl_functions(frontier: Frontier, delta: float, m: float) -> tuple[float, flo
     L = _grid_size(frontier, delta)
     if not 1 <= m <= L - 2:
         raise ConditionError(f"demand index {m} outside 1..{L - 2}")
-    f = frontier
-    x = delta * m
-    r1 = (f(x) - f(x + delta)) * x / (x + delta)
-    r2 = x * (f(x) - f(x + delta)) / f(x)
-    l1 = f(x) * delta / x
-    l2 = delta * f(x) / f(x - delta)
+    return _neighbour_terms(frontier, delta, delta * m)
+
+
+def _neighbour_terms(f: Frontier, delta: float,
+                     x: float) -> tuple[float, float, float, float]:
+    """(r1, r2, l1, l2) at demand ``x``, with f evaluated once at each of
+    x - delta, x and x + delta."""
+    below, here, above = f(x - delta), f(x), f(x + delta)
+    r1 = (here - above) * x / (x + delta)
+    r2 = x * (here - above) / here
+    l1 = here * delta / x
+    l2 = delta * here / below
     return r1, r2, l1, l2
 
 
@@ -160,17 +158,16 @@ _TERM_DIRECTION = {"r1": +1, "r2": +1, "l1": -1, "l2": -1}
 
 def _terms_at(frontier: Frontier, delta: float, m: int, L: int,
               rule: str) -> dict[str, float]:
-    f = frontier
-    x = delta * m
+    r1, r2, l1, l2 = _neighbour_terms(frontier, delta, delta * m)
     terms = {}
     if m + 1 <= L - 1:
         if rule == "unintentional":
-            terms["r1"] = (f(x) - f(x + delta)) * x / (x + delta)
-        terms["r2"] = x * (f(x) - f(x + delta)) / f(x)
+            terms["r1"] = r1
+        terms["r2"] = r2
     if m - 1 >= 1:
-        terms["l1"] = f(x) * delta / x
+        terms["l1"] = l1
         if rule == "unintentional":
-            terms["l2"] = delta * f(x) / f(x - delta)
+            terms["l2"] = l2
     return terms
 
 

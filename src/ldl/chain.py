@@ -23,11 +23,13 @@ from .errors import (
     InfeasibleMoveError,
     UnsupportedRuleError,
 )
-from .games import Game, OnePopGame, TwoPopGame
+from .games import Game, OnePopGame, TwoPopGame, check_convention
 
 State = tuple  # tuple[int, ...] (one-pop) or (tuple[int, ...], tuple[int, ...])
 
 KERNEL_STATE_CAP = 50_000  # states (or state pairs) of an exact kernel
+ONE_POP_SEARCH_CAP = 1_000_000  # states a least-cost search may settle
+TWO_POP_SEARCH_CAP = 10_000_000
 
 
 class CostRule(Enum):
@@ -103,8 +105,7 @@ def move_between(x: State, y: State) -> Move:
 
 def convention_state(game: Game, n: int, m: int) -> State:
     """The monomorphic state where every agent plays ``m``."""
-    if not 0 <= m < game.k:
-        raise ConditionError(f"convention {m + 1} outside 1..{game.k} (1-based)")
+    check_convention(game, m)
     e = tuple(n if i == m else 0 for i in range(game.k))
     if isinstance(game, TwoPopGame):
         return (e, e)
@@ -153,16 +154,25 @@ def _pop_payoffs(game: TwoPopGame, state: State, pop: str) -> np.ndarray:
 
 
 def in_basin(game: Game, state: State, m: int) -> bool:
-    """Weak-inequality basin membership: ``m`` is a (possibly tied) best reply."""
+    """Weak-inequality basin membership: ``m`` is a (possibly tied) best reply.
+
+    The package's one discrete basin test: the searches, the block-path
+    enumeration and the public API all use it.  It compares unnormalized
+    payoffs, ``A @ counts`` (for two populations ``alpha @ beta_counts``
+    and ``alpha_counts @ beta``), with the weak ``>=``.  Ties are exact for
+    integer payoffs; with short-decimal payoffs a tie is decided by the
+    float rounding of these sums.
+    """
     if isinstance(game, TwoPopGame):
-        pa = payoff_vector_alpha(game, state[1])
-        pb = payoff_vector_beta(game, state[0])
+        pa = game.alpha @ np.asarray(state[1], dtype=float)
+        pb = np.asarray(state[0], dtype=float) @ game.beta
         return bool(pa[m] >= pa.max() and pb[m] >= pb.max())
-    pi = payoff_vector(game, state)
-    return bool(pi[m] >= pi.max())
+    pay = game.payoffs @ np.asarray(state, dtype=float)
+    return bool(pay[m] >= pay.max())
 
 
-def basin(game: OnePopGame, n: int, m: int, guardrail: int = 1_000_000) -> frozenset:
+def basin(game: OnePopGame, n: int, m: int,
+          guardrail: int = ONE_POP_SEARCH_CAP) -> frozenset:
     """All states of the size-n simplex where ``m`` is a weak best reply."""
     total = num_states(n, game.k)
     if total > guardrail:
@@ -184,7 +194,7 @@ def hat_s(game: TwoPopGame, pop: str, state: State) -> frozenset[int]:
     convention payoff of every current best reply of ``pop``.
     """
     pay = _pop_payoffs(game, state, pop)
-    costs = _choice_costs(game, CostRule.INTENTIONAL, pay, 0, pop)
+    costs = cost_vector(game, CostRule.INTENTIONAL, pay, 0, pop)
     return frozenset(np.flatnonzero(np.isfinite(costs)).tolist())
 
 
@@ -198,7 +208,7 @@ def step_cost(game: Game, rule: CostRule, state: State, move: Move) -> float:
     if counts[move.src] < 1:
         who = "agent" if move.pop is None else f"{move.pop} agent"
         raise InfeasibleMoveError(f"no {who} plays strategy {move.src}")
-    return float(_choice_costs(game, rule, pay, move.src, move.pop)[move.dst])
+    return float(cost_vector(game, rule, pay, move.src, move.pop)[move.dst])
 
 
 def _reviser(game: Game, state: State, move: Move) -> tuple:
@@ -213,10 +223,14 @@ def _reviser(game: Game, state: State, move: Move) -> tuple:
     return state, payoff_vector(game, state)
 
 
-def _choice_costs(game: Game, rule: CostRule, pay: np.ndarray, src: int,
-                  pop: Optional[str]) -> np.ndarray:
+def cost_vector(game: Game, rule: CostRule, pay: np.ndarray, src: int,
+                pop: Optional[str]) -> np.ndarray:
     """Cost of each choice (re-choosing ``src`` included) of a reviser of
-    ``pop`` who now plays ``src`` and faces the payoffs ``pay``."""
+    ``pop`` who now plays ``src`` and faces the payoffs ``pay``.
+
+    The package's one per-rule cost dispatch: step costs, the kernel and
+    the least-cost searches all price moves with it.
+    """
     if rule is CostRule.LOGIT:
         return pay.max() - pay
     if rule is CostRule.INTENTIONAL:
@@ -266,7 +280,7 @@ def transition_probability(
     if counts[move.src] < 1:
         return 0.0
     probs = _choice_probabilities(
-        _choice_costs(game, rule, pay, move.src, move.pop), beta
+        cost_vector(game, rule, pay, move.src, move.pop), beta
     )
     share = 0.5 if isinstance(game, TwoPopGame) else 1.0
     return share * counts[move.src] / sum(counts) * float(probs[move.dst])
@@ -371,7 +385,7 @@ def transition_matrix(
         # only the better-reply rule looks at the reviser's own strategy
         own = range(k) if rule is CostRule.BETTER_REPLY else range(1)
         q = np.array([
-            [_choice_probabilities(_choice_costs(game, rule, pay, i, pop), beta)
+            [_choice_probabilities(cost_vector(game, rule, pay, i, pop), beta)
              for i in own]
             for pay in (payoffs(game, c) for c in counts)
         ])

@@ -17,7 +17,6 @@ from .games import OnePopGame, mixed_equilibrium, skew
 
 SIMPLEX_TOL = 1e-12
 BASIN_TOL = 1e-9
-SEGMENT_GRID = 1000   # belt-and-suspenders admissibility sampling per segment
 
 
 def as_simplex_point(p: Sequence[float]) -> np.ndarray:
@@ -148,23 +147,16 @@ class ContinuumBlockPath:
 
 
 def omega(game: OnePopGame, path: ContinuumBlockPath,
-          require_boundary: bool = True, grid_check: bool = True) -> float:
+          require_boundary: bool = True) -> float:
     """Total cost of an admissible continuum block path.
 
-    Payoffs are linear, so checking segment endpoints suffices for
-    admissibility; ``grid_check`` additionally samples each segment as a
-    safety net.
+    The closed basin is an intersection of half-spaces, hence convex, so a
+    segment lies in it when both its endpoints do.
     """
     pts = path.points(game.k)
     for p in pts:
         if not in_closed_basin(game, path.mbar, p):
             raise ConditionError("path leaves the closed basin")
-    if grid_check:
-        for p, q in zip(pts, pts[1:]):
-            for s in np.linspace(0.0, 1.0, SEGMENT_GRID):
-                point = (1 - s) * p + s * q
-                if not in_closed_basin(game, path.mbar, point):
-                    raise ConditionError("segment interior leaves the basin")
     if require_boundary and not on_basin_boundary(game, path.mbar, pts[-1]):
         raise ConditionError("terminal point is not on the basin boundary")
     total = 0.0

@@ -13,15 +13,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .chain import (
+    ONE_POP_SEARCH_CAP,
+    TWO_POP_SEARCH_CAP,
     CostRule,
     Move,
-    State,
     apply_move,
+    cost_vector,
     convention_state,
+    in_basin,
     path_cost,
+    payoff_vector,
+    payoff_vector_alpha,
+    payoff_vector_beta,
 )
 from .errors import (
     ConditionError,
@@ -32,14 +36,12 @@ from .errors import (
 from .games import (
     OnePopGame,
     TwoPopGame,
+    check_convention,
     tilde_s,
     validate_one_pop,
     validate_two_pop,
 )
 from .paths import BlockSpec, Path, enumerate_block_paths
-
-ONE_POP_SEARCH_CAP = 1_000_000
-TWO_POP_SEARCH_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -65,164 +67,73 @@ class EscapeResult:
 
 
 # ---------------------------------------------------------------------------
-# Cached edge-cost generators for the searches
+# The least-cost search behind the oracle and the exact transition costs
 
 
-def _one_pop_edges(game: OnePopGame, rule: CostRule) -> Callable:
-    a = game.payoffs
-    k = game.k
-    cache: dict = {}
-
-    def edges(state: State):
-        hit = cache.get(state)
-        if hit is not None:
-            return hit
-        c = np.asarray(state, dtype=float)
-        pi = a @ c / c.sum()
-        top = pi.max()
-        out = []
-        for i in range(k):
-            if state[i] < 1:
-                continue
-            for j in range(k):
-                if j == i:
-                    continue
-                if rule is CostRule.LOGIT:
-                    w = top - pi[j]
-                elif rule is CostRule.UNIFORM:
-                    w = 0.0 if pi[j] == top else 1.0
-                elif rule is CostRule.BETTER_REPLY:
-                    w = max(pi[i] - pi[j], 0.0)
-                else:
-                    raise UnsupportedRuleError(
-                        "intentional dynamics need a two-population game"
-                    )
-                out.append((Move(i, j), w))
-        cache[state] = out
-        return out
-
-    return edges
+_FACED_PAYOFFS = {None: payoff_vector, "alpha": payoff_vector_alpha,
+                  "beta": payoff_vector_beta}
 
 
-def _two_pop_side_costs(game: TwoPopGame, rule: CostRule):
-    """Per-component caches: target costs for each population's moves.
+def _edges(game, rule: CostRule) -> Callable:
+    """Moves out of a state with their finite costs, in the canonical order:
+    population (alpha first), then source, then target.
 
-    An alpha move's cost depends only on the beta counts and the target
-    (plus the source under the better-reply rule); symmetrically for beta.
+    A reviser's costs depend on the counts it faces, the other side's for
+    two populations, and on its own strategy only under the better-reply
+    rule.  Two-population prices are kept per side and faced counts; one
+    population faces its own state, which a search expands once.
     """
-    mats = {"alpha": game.alpha, "beta": game.beta}
     k = game.k
-    caches = {"alpha": {}, "beta": {}}
+    two_pop = isinstance(game, TwoPopGame)
+    memo: dict = {}
 
-    def payoffs(pop: str, other_counts: tuple) -> np.ndarray:
-        c = np.asarray(other_counts, dtype=float)
-        if pop == "alpha":
-            return mats["alpha"] @ c / c.sum()
-        return c @ mats["beta"] / c.sum()
+    def prices(pop, faced) -> list:
+        pay = _FACED_PAYOFFS[pop](game, faced)
+        if rule is CostRule.BETTER_REPLY:
+            return [cost_vector(game, rule, pay, i, pop).tolist() for i in range(k)]
+        return [cost_vector(game, rule, pay, 0, pop).tolist()] * k
 
-    def target_costs(pop: str, other_counts: tuple):
-        cache = caches[pop]
-        hit = cache.get(other_counts)
-        if hit is not None:
-            return hit
-        pay = payoffs(pop, other_counts)
-        top = pay.max()
-        if rule in (CostRule.LOGIT, CostRule.BETTER_REPLY):
-            costs = top - pay
-        elif rule is CostRule.UNIFORM:
-            costs = np.where(pay == top, 0.0, 1.0)
-        elif rule is CostRule.INTENTIONAL:
-            mat = mats[pop]
-            current = [m for m in range(k) if pay[m] == top]
-            cutoff = max(mat[m, m] for m in current)
-            costs = np.where(np.diag(mat) >= cutoff, top - pay, np.inf)
+    def edges(state):
+        if two_pop:
+            sides = (("alpha", state[0], state[1]), ("beta", state[1], state[0]))
         else:
-            raise UnsupportedRuleError(f"unknown rule {rule}")
-        entry = (costs, pay)
-        cache[other_counts] = entry
-        return entry
-
-    return target_costs
-
-
-def _two_pop_edges(game: TwoPopGame, rule: CostRule) -> Callable:
-    k = game.k
-    target_costs = _two_pop_side_costs(game, rule)
-
-    def edges(state: State):
-        a_counts, b_counts = state
+            sides = ((None, state, state),)
         out = []
-        for pop, counts, other in (("alpha", a_counts, b_counts),
-                                   ("beta", b_counts, a_counts)):
-            costs, pay = target_costs(pop, other)
+        for pop, counts, faced in sides:
+            if two_pop:
+                costs = memo.get((pop, faced))
+                if costs is None:
+                    costs = memo[pop, faced] = prices(pop, faced)
+            else:
+                costs = prices(pop, faced)
             for i in range(k):
                 if counts[i] < 1:
                     continue
-                for j in range(k):
-                    if j == i:
-                        continue
-                    if rule is CostRule.BETTER_REPLY:
-                        w = max(pay[i] - pay[j], 0.0)
-                    else:
-                        w = float(costs[j])
-                    if math.isinf(w):
-                        continue
-                    out.append((Move(i, j, pop), w))
+                for j, w in enumerate(costs[i]):
+                    if j != i and w != math.inf:
+                        out.append((Move(i, j, pop), w))
         return out
 
     return edges
 
 
-def _basin_test(game, m: int) -> Callable:
-    """Membership test for the basin of convention ``m`` with caching."""
-    if isinstance(game, TwoPopGame):
-        side_ok: dict = {"alpha": {}, "beta": {}}
-        mats = {"alpha": game.alpha, "beta": game.beta}
+def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
+                       rule: CostRule, guardrail: Optional[int]) -> EscapeResult:
+    """Least-cost path from convention ``start`` to the first settled state
+    outside (``leaving``) or inside the basin of convention ``target``.
 
-        def component_ok(pop: str, other_counts: tuple) -> bool:
-            cache = side_ok[pop]
-            hit = cache.get(other_counts)
-            if hit is None:
-                c = np.asarray(other_counts, dtype=float)
-                pay = mats[pop] @ c if pop == "alpha" else c @ mats[pop]
-                hit = bool(pay[m] >= pay.max())
-                cache[other_counts] = hit
-            return hit
-
-        def test(state: State) -> bool:
-            return component_ok("alpha", state[1]) and component_ok("beta", state[0])
-
-        return test
-
-    a = game.payoffs
-    cache: dict = {}
-
-    def test(state: State) -> bool:
-        hit = cache.get(state)
-        if hit is None:
-            pay = a @ np.asarray(state, dtype=float)
-            hit = bool(pay[m] >= pay.max())
-            cache[state] = hit
-        return hit
-
-    return test
-
-
-def _dijkstra(
-    start: State,
-    edges: Callable,
-    expandable: Callable,
-    terminal: Callable,
-    guardrail: int,
-) -> tuple[State, float, dict]:
-    """Least-cost search stopping at the first settled terminal state.
-
-    Moves are relaxed in the canonical order the edge generator emits and
-    only strict improvements update a state, so witnesses are deterministic.
+    Moves are relaxed in the canonical order of ``_edges`` and only strict
+    improvements update a state, so witnesses are deterministic.
     """
-    dist = {start: 0.0}
-    parent: dict = {start: None}
-    heap = [(0.0, 0, start)]
+    check_convention(game, target)
+    origin = convention_state(game, n, start)
+    if guardrail is None:
+        two_pop = isinstance(game, TwoPopGame)
+        guardrail = TWO_POP_SEARCH_CAP if two_pop else ONE_POP_SEARCH_CAP
+    edges = _edges(game, rule)
+    dist = {origin: 0.0}
+    parent: dict = {origin: None}
+    heap = [(0.0, 0, origin)]
     counter = 1
     settled = set()
     while heap:
@@ -230,31 +141,33 @@ def _dijkstra(
         if x in settled:
             continue
         settled.add(x)
-        if terminal(x):
-            return x, d, parent
+        if in_basin(game, x, target) != leaving:
+            states = [x]
+            while parent[states[-1]] is not None:
+                states.append(parent[states[-1]])
+            return EscapeResult(
+                n=n,
+                convention=start,
+                rule=rule,
+                cost=d,
+                normalized=d / n,
+                witness=Path(tuple(reversed(states))),
+                provenance="oracle",
+            )
         if len(settled) > guardrail:
             raise GuardrailExceeded(
                 f"search expanded more than {guardrail} states; "
                 "raise the guardrail to proceed"
             )
-        if not expandable(x):
-            continue
         for move, w in edges(x):
             y = apply_move(x, move)
             nd = d + w
             if nd < dist.get(y, math.inf):
                 dist[y] = nd
-                parent[y] = (x, move)
+                parent[y] = x
                 heapq.heappush(heap, (nd, counter, y))
                 counter += 1
     raise LdlError("no terminal state is reachable")
-
-
-def _reconstruct(parent: dict, end: State) -> Path:
-    states = [end]
-    while parent[states[-1]] is not None:
-        states.append(parent[states[-1]][0])
-    return Path(tuple(reversed(states)))
 
 
 def _require_strict_convention(game, m: int) -> None:
@@ -302,31 +215,12 @@ def exit_bruteforce(
     outside the basin, and ties between equal-cost paths resolve to the
     first witness found under the canonical move order.
     """
+    check_convention(game, mbar)
     _require_strict_convention(game, mbar)
     if validate:
         _require_condition(game, mbar)
-    two_pop = isinstance(game, TwoPopGame)
-    if guardrail is None:
-        guardrail = TWO_POP_SEARCH_CAP if two_pop else ONE_POP_SEARCH_CAP
-    edges = _two_pop_edges(game, rule) if two_pop else _one_pop_edges(game, rule)
-    inside = _basin_test(game, mbar)
-    start = convention_state(game, n, mbar)
-    end, cost, parent = _dijkstra(
-        start,
-        edges,
-        expandable=inside,
-        terminal=lambda s: not inside(s),
-        guardrail=guardrail,
-    )
-    return EscapeResult(
-        n=n,
-        convention=mbar,
-        rule=rule,
-        cost=cost,
-        normalized=cost / n,
-        witness=_reconstruct(parent, end),
-        provenance="oracle",
-    )
+    return _least_cost_search(game, n, mbar, mbar, leaving=True, rule=rule,
+                              guardrail=guardrail)
 
 
 def exit_reduced(
@@ -341,6 +235,7 @@ def exit_reduced(
     Equals the oracle value exactly: under the structural conditions the
     block family always contains a globally minimal escape path.
     """
+    check_convention(game, mbar)
     if validate:
         _require_condition(game, mbar)
     kwargs = {} if guardrail is None else {"guardrail": guardrail}
@@ -394,6 +289,7 @@ def exit_limit_one_pop(
     game: OnePopGame, mbar: int, rule: CostRule = CostRule.LOGIT
 ) -> EscapeResult:
     """Closed-form limit of the normalized escape cost, with all argmins."""
+    check_convention(game, mbar)
     if rule not in (CostRule.LOGIT, CostRule.UNIFORM):
         raise UnsupportedRuleError(
             "no limit formula is available for this rule; use the oracle"
@@ -465,6 +361,7 @@ def exit_limit_two_pop(
     game: TwoPopGame, m: int, rule: CostRule = CostRule.LOGIT
 ) -> EscapeResult:
     """Closed-form limit of the two-population escape cost from convention m."""
+    check_convention(game, m)
     if rule is CostRule.INTENTIONAL and not validate_two_pop(
         game, m
     ).conflict_of_interest:

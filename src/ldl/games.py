@@ -307,6 +307,12 @@ def validate_one_pop(game: OnePopGame) -> ConditionReport:
     return ConditionReport(coordination, bandwagon, checks, None, partial)
 
 
+def check_convention(game: Game, m: int) -> None:
+    """Refuse a convention index outside 0..k-1; the message is 1-based."""
+    if not 0 <= m < game.k:
+        raise ConditionError(f"convention {m + 1} outside 1..{game.k} (1-based)")
+
+
 def tilde_s(game: TwoPopGame, m: int, pop: str) -> frozenset[int]:
     """Strategies whose convention payoff weakly beats convention ``m`` for ``pop``."""
     mat = game.matrix(pop)
@@ -325,10 +331,9 @@ def conflict_of_interest(game: TwoPopGame, m: int) -> bool:
 def validate_two_pop(game: TwoPopGame, m: int) -> ConditionReport:
     """Check coordination, the weak bandwagon property, support solvability,
     and conflict of interest at convention ``m``."""
+    check_convention(game, m)
     a, b = game.alpha, game.beta
     k = game.k
-    if not 0 <= m < k:
-        raise ConditionError(f"convention {m + 1} outside 1..{k} (1-based)")
     coordination = all(
         a[i, i] > a[j, i] and b[i, i] > b[i, j]
         for i in range(k)

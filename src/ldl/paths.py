@@ -8,7 +8,7 @@ next, and so on) and exits the basin exactly at its final state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .chain import (
@@ -30,10 +30,9 @@ _COST_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class Path:
-    """An adjacency-checked sequence of states with per-rule cost caching."""
+    """An adjacency-checked sequence of states."""
 
     states: tuple
-    _cost_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         states = tuple(tuple(s) if not isinstance(s, tuple) else s for s in self.states)
@@ -49,10 +48,7 @@ class Path:
         return tuple(move_between(x, y) for x, y in zip(self.states, self.states[1:]))
 
     def cost(self, game, rule: CostRule = CostRule.LOGIT) -> float:
-        key = (id(game), rule)
-        if key not in self._cost_cache:
-            self._cost_cache[key] = path_cost(game, rule, self.states)
-        return self._cost_cache[key]
+        return path_cost(game, rule, self.states)
 
 
 @dataclass(frozen=True)
@@ -393,14 +389,12 @@ def enumerate_block_paths(
     the DFS over ascending target indices.
     """
     k = game.k
-    if not 0 <= mbar < k:
-        raise ConditionError("convention index out of range")
+    start = convention_state(game, n, mbar)
     if _block_path_bound(k, n) > guardrail:
         raise GuardrailExceeded(
             f"block-path enumeration bound exceeds {guardrail}; "
             "use the closed-form limit instead"
         )
-    start = convention_state(game, n, mbar)
     if not in_basin(game, start, mbar):
         raise ConditionError("the convention itself is outside its basin")
 

@@ -22,11 +22,7 @@ from .chain import (
 from .errors import ConditionError, GuardrailExceeded, LdlError, UnsupportedRuleError
 from .escape import (
     EscapeResult,
-    _basin_test,
-    _dijkstra,
-    _one_pop_edges,
-    _reconstruct,
-    _two_pop_edges,
+    _least_cost_search,
     escape_term_two_pop,
     pairwise_escape_term,
 )
@@ -185,28 +181,8 @@ def transition_cost_bruteforce(
     """
     if i == j:
         raise ConditionError("source and destination conventions must differ")
-    two_pop = isinstance(game, TwoPopGame)
-    if guardrail is None:
-        guardrail = 10_000_000 if two_pop else 1_000_000
-    edges = _two_pop_edges(game, rule) if two_pop else _one_pop_edges(game, rule)
-    target = _basin_test(game, j)
-    start = convention_state(game, n, i)
-    end, cost, parent = _dijkstra(
-        start,
-        edges,
-        expandable=lambda s: not target(s),
-        terminal=target,
-        guardrail=guardrail,
-    )
-    return EscapeResult(
-        n=n,
-        convention=i,
-        rule=rule,
-        cost=cost,
-        normalized=cost / n,
-        witness=_reconstruct(parent, end),
-        provenance="oracle",
-    )
+    return _least_cost_search(game, n, i, j, leaving=False, rule=rule,
+                              guardrail=guardrail)
 
 
 def transition_cost_matrix(

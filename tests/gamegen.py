@@ -14,6 +14,9 @@ TECH_UNEVEN = tech_game(16, 12, 24, 1)      # asymmetric benefits, conclusive ma
 # Coordination + bandwagon game where the 1->3 transition prefers the
 # two-leg route comparison to bite (used for the oblique-route lemmas).
 ROUTED = OnePopGame([[10, 0, 2], [3, 9, 4], [1, 2, 8]])
+# One-decimal game whose n=30 escape from strategy 3 ends at (0, 11, 19),
+# where strategies 2 and 3 tie in exact arithmetic but not in float sums.
+DECIMAL_TIE = OnePopGame([[1.9, 0, -0.2], [-0.1, 1.6, -0.1], [0.2, -0.3, 1.0]])
 
 
 def random_condition_a_games(count: int, seed: int, k: int = 3) -> list[OnePopGame]:
@@ -32,6 +35,14 @@ def random_condition_a_games(count: int, seed: int, k: int = 3) -> list[OnePopGa
         if validate_one_pop(game).condition_holds:
             out.append(game)
     return out
+
+
+def random_decimal_games(count: int, seed: int, k: int = 3) -> list[OnePopGame]:
+    """The integer sampler's games with payoffs over ten: one-decimal
+    payoffs, whose exact ties float sums may break."""
+    games = (OnePopGame(g.payoffs / 10)
+             for g in random_condition_a_games(count, seed, k))
+    return [g for g in games if validate_one_pop(g).condition_holds]
 
 
 def random_basin_states(game: OnePopGame, n: int, mbar: int, count: int,

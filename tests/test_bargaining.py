@@ -47,6 +47,15 @@ def test_frontier_validation():
         Frontier(-1, 3, 0.5)
 
 
+@pytest.mark.parametrize("params", [
+    (1, math.inf, 0.5), (math.inf, 3, 0.5), (math.nan, 3, 0.5),
+    (1, math.nan, 0.5), (1, 3, math.nan),
+])
+def test_frontier_refuses_non_finite_parameters(params):
+    with pytest.raises(ConditionError, match="finite"):
+        Frontier(*params)
+
+
 def test_frontier_values_panel_a():
     assert PANEL_A(1.0) == pytest.approx(math.sqrt(2 / 3))
     assert PANEL_A(2.0) == pytest.approx(math.sqrt(1 / 3))

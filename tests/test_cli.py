@@ -88,6 +88,19 @@ def test_exit_guardrail_exit_code(tech_path, capsys, monkeypatch):
     assert "LDL_GUARDRAIL_STATES" in err
 
 
+@pytest.mark.parametrize("mode", [
+    ["--limit"], ["--oracle", "--n", "10"], ["--reduced", "--n", "10"],
+])
+@pytest.mark.parametrize("convention", ["0", "4"])
+def test_exit_rejects_convention_out_of_range(tech_path, capsys, convention, mode):
+    code, out, err = run(
+        capsys, "exit", tech_path, f"--convention={convention}", *mode
+    )
+    assert code == 2
+    assert err == f"error: convention {convention} outside 1..3 (1-based)\n"
+    assert out == ""
+
+
 def test_exit_reduced_rejects_incompatible_rules(tech_path, capsys):
     code, _, err = run(
         capsys, "exit", tech_path, "--convention", "1", "--reduced",
@@ -138,6 +151,13 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "bench")
 
 
+def read_golden(name):
+    """A committed golden CSV, read in place."""
+    with open(os.path.join(BENCH, "golden", name), encoding="utf-8",
+              newline="") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("game,argv,golden", [
     ("two_strat.json", ["--n", "8", "--beta", "1,2,4,8"],
      "stability_invariant.csv"),
@@ -150,9 +170,22 @@ def test_stability_invariant_csv_matches_golden(game, argv, golden, capsys):
         "--invariant", "--format", "csv",
     )
     assert code == 0
-    with open(os.path.join(BENCH, "golden", golden), encoding="utf-8",
-              newline="") as fh:
-        assert out == fh.read()
+    assert out == read_golden(golden)
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("exit_oracle.csv", ["exit", "tech.json", "--convention", "1", "--oracle",
+                         "--n", "30,60,120"]),
+    ("exit_reduced.csv", ["exit", "tech.json", "--convention", "1", "--reduced",
+                          "--n", "12"]),
+    ("stability_oracle.csv", ["stability", "tech.json", "--oracle", "--n", "60"]),
+])
+def test_escape_csv_matches_golden(name, argv, capsys):
+    argv = [os.path.join(BENCH, "data", a) if a.endswith(".json") else a
+            for a in argv]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == read_golden(name)
 
 
 def test_stability_invariant_guardrail_override(tech_path, capsys, monkeypatch):
@@ -215,6 +248,17 @@ def test_bargain_command(capsys):
     assert code == 0
     assert re.search(r"m_star", out)
     assert " 200 " in out or "200" in out.split()
+
+
+@pytest.mark.parametrize("frontier", ["1,inf,0.5", "inf,3,0.5", "nan,3,0.5"])
+def test_bargain_rejects_non_finite_frontier(frontier, capsys):
+    code, out, err = run(
+        capsys, "bargain", "--frontier", frontier, "--delta", "0.01",
+        "--mode", "unintentional",
+    )
+    assert code == 2
+    assert err.startswith("error: frontier needs finite") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_sweep_command_csv(capsys):

@@ -15,13 +15,20 @@ from ldl import (
     exit_limit_one_pop,
     exit_limit_two_pop,
     exit_reduced,
+    in_basin,
     mixed_equilibrium,
     ndg_build,
     pairwise_escape_term,
 )
 from ldl.escape import two_pop_thresholds
 from ldl.paths import run_cost_closed_form
-from gamegen import TECH, TWO_STRATEGY, random_condition_a_games
+from gamegen import (
+    DECIMAL_TIE,
+    TECH,
+    TWO_STRATEGY,
+    random_condition_a_games,
+    random_decimal_games,
+)
 
 NDG = ndg_build(Frontier(1, 3, 0.5), 6)  # delta = 0.5, demands 1..5
 
@@ -58,6 +65,33 @@ def test_exit_requires_strict_convention():
 def test_exit_guardrail():
     with pytest.raises(GuardrailExceeded):
         exit_bruteforce(TECH, 40, 0, guardrail=10)
+
+
+@pytest.mark.parametrize("solve,game", [
+    (lambda m: exit_bruteforce(TECH, 10, m), TECH),
+    (lambda m: exit_reduced(TECH, 10, m), TECH),
+    (lambda m: exit_limit_one_pop(TECH, m), TECH),
+    (lambda m: exit_limit_two_pop(NDG, m), NDG),
+])
+def test_convention_index_range_checked_first(solve, game):
+    for m in (-1, game.k):
+        with pytest.raises(ConditionError,
+                           match=f"convention {m + 1} outside 1..{game.k}"):
+            solve(m)
+
+
+def test_oracle_witness_leaves_the_basin_only_at_its_end_on_decimal_games():
+    # The oracle's terminal test and the public in_basin are one predicate,
+    # so they break one-decimal ties the same way.
+    res = exit_bruteforce(DECIMAL_TIE, 30, 2)
+    assert res.witness.states[-1] == (0, 11, 19)
+    assert not in_basin(DECIMAL_TIE, (0, 11, 19), 2)
+    for g in random_decimal_games(30, seed=5):
+        for n in (10, 16, 22, 28, 34, 40):
+            for m in range(g.k):
+                states = exit_bruteforce(g, n, m).witness.states
+                assert all(in_basin(g, s, m) for s in states[:-1])
+                assert not in_basin(g, states[-1], m)
 
 
 def test_better_reply_oracle_runs_and_is_cheaper_than_logit():

@@ -6,6 +6,7 @@ import pytest
 from ldl import (
     BlockSpec,
     ConditionError,
+    CostRule,
     GuardrailExceeded,
     Move,
     OnePopGame,
@@ -16,6 +17,7 @@ from ldl import (
     cp2_direct,
     enumerate_block_paths,
     in_basin,
+    path_cost,
     straighten,
 )
 from ldl.chain import payoff_vector
@@ -40,6 +42,14 @@ def formula_cost(game, mbar, states):
         pi = payoff_vector(game, x)
         total += pi[mbar] - pi[tgt]
     return total
+
+
+def test_path_cost_follows_the_game_not_its_id():
+    # Games built and dropped in a loop reuse ids; each cost must be fresh.
+    p = Path(((3, 0), (2, 1), (1, 2)))
+    for t in range(2000):
+        g = OnePopGame([[2 + t, 0], [0, 1]])
+        assert p.cost(g) == path_cost(g, CostRule.LOGIT, p.states)
 
 
 # ---------------------------------------------------------------------------
