@@ -106,6 +106,8 @@ def move_between(x: State, y: State) -> Move:
 def convention_state(game: Game, n: int, m: int) -> State:
     """The monomorphic state where every agent plays ``m``."""
     check_convention(game, m)
+    if n < 1:
+        raise ConditionError(f"population size n={n} must be at least 1")
     e = tuple(n if i == m else 0 for i in range(game.k))
     if isinstance(game, TwoPopGame):
         return (e, e)

@@ -466,6 +466,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LdlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of resources: {type(exc).__name__}{detail}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .chain import (
     cost_vector,
     convention_state,
     in_basin,
-    path_cost,
     payoff_vector,
     payoff_vector_alpha,
     payoff_vector_beta,
@@ -41,7 +40,8 @@ from .games import (
     validate_one_pop,
     validate_two_pop,
 )
-from .paths import BlockSpec, Path, enumerate_block_paths
+from .paths import (BlockSpec, Path, cheapest_block_path,
+                    enumerate_block_paths)
 
 
 @dataclass(frozen=True)
@@ -239,12 +239,9 @@ def exit_reduced(
     if validate:
         _require_condition(game, mbar)
     kwargs = {} if guardrail is None else {"guardrail": guardrail}
-    best: Optional[tuple[float, BlockSpec, tuple]] = None
-    for spec in enumerate_block_paths(game, n, mbar, **kwargs):
-        states = spec.realize(game.k, n, mbar)
-        c = path_cost(game, CostRule.LOGIT, states)
-        if best is None or c < best[0]:
-            best = (c, spec, states)
+    best = cheapest_block_path(
+        game, n, mbar, enumerate_block_paths(game, n, mbar, **kwargs)
+    )
     if best is None:
         raise LdlError("no block escape path exists")
     cost, spec, states = best

@@ -8,8 +8,11 @@ next, and so on) and exits the basin exactly at its final state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .chain import (
     CostRule,
@@ -20,6 +23,7 @@ from .chain import (
     in_basin,
     move_between,
     path_cost,
+    payoff_vector,
 )
 from .errors import ConditionError, GuardrailExceeded, LdlError
 from .games import OnePopGame
@@ -161,8 +165,6 @@ def run_cost_closed_form(game: OnePopGame, x: State, mbar: int, k: int,
     """
     n = sum(x)
     a = game.payoffs
-    from .chain import payoff_vector
-
     pi = payoff_vector(game, x)
     drop = pi[mbar] - pi[k]
     curvature = (-a[mbar, mbar] + a[mbar, k] + a[k, mbar] - a[k, k]) / n
@@ -338,15 +340,11 @@ def straighten(game: OnePopGame, path: Path) -> Path:
         # to the cheapest enumerated block path, which never exceeds the cost
         # of any escape path (the block family attains the global minimum).
         n = sum(path.states[0])
-        best = None
-        for spec in enumerate_block_paths(game, n, mbar):
-            real = spec.realize(game.k, n, mbar)
-            c = path_cost(game, CostRule.LOGIT, real)
-            if best is None or c < best[0]:
-                best = (c, list(real))
+        best = cheapest_block_path(game, n, mbar,
+                                   enumerate_block_paths(game, n, mbar))
         if best is None or best[0] > original_cost + _COST_ATOL:
             raise LdlError("no block path at or below the input cost was found")
-        states = best[1]
+        states = list(best[2])
 
     result = Path(tuple(states))
     if result.cost(game) > original_cost + _COST_ATOL:
@@ -385,8 +383,13 @@ def enumerate_block_paths(
     """Every feasible block escape path from the convention ``mbar``.
 
     A spec is yielded when all states before the last lie in the basin and
-    the final state exits it strictly.  The stream is finite and ordered by
-    the DFS over ascending target indices.
+    the final state exits it strictly.  The order is depth first, fresh
+    targets in ascending index: for each run, first the spec whose run
+    exits the basin, then, for each shorter run length in descending order,
+    the specs that go on with a fresh target.  Each run's exit is solved in
+    closed form and the walk keeps an explicit stack of at most k lazy
+    branch lists, so it never recurses; a run on the last unused target
+    yields its exiting spec and pushes nothing.
     """
     k = game.k
     start = convention_state(game, n, mbar)
@@ -398,27 +401,92 @@ def enumerate_block_paths(
     if not in_basin(game, start, mbar):
         raise ConditionError("the convention itself is outside its basin")
 
-    def dfs(state, used, spec_targets, spec_counts):
-        for tgt in range(k):
-            if tgt == mbar or tgt in used:
-                continue
-            if state[mbar] < 1:
-                continue
-            nxt = apply_move(state, Move(mbar, tgt))
-            new_targets = spec_targets + (tgt,)
-            new_counts = spec_counts + (1,)
-            yield from extend(nxt, used | {tgt}, new_targets, new_counts)
+    def fresh(state, targets, counts):
+        return ((state, targets + (u,), counts) for u in range(k)
+                if u != mbar and u not in targets)
 
-    def extend(state, used, spec_targets, spec_counts):
-        if not in_basin(game, state, mbar):
-            yield BlockSpec(spec_targets, spec_counts)
-            return
-        # keep growing the current run
-        if state[mbar] >= 1:
-            nxt = apply_move(state, Move(mbar, spec_targets[-1]))
-            grown = spec_counts[:-1] + (spec_counts[-1] + 1,)
-            yield from extend(nxt, used, spec_targets, grown)
-        # or open a new run with a fresh target
-        yield from dfs(state, used, spec_targets, spec_counts)
+    def shorter(state, targets, counts, top):
+        for c in range(top, 0, -1):
+            yield from fresh(_shifted(state, mbar, targets[-1], c), targets,
+                             counts + (c,))
 
-    yield from dfs(start, frozenset(), (), ())
+    stack = [fresh(start, (), ())]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+            continue
+        state, targets, counts = item
+        length = _run_exit(game, state, mbar, targets[-1])
+        if length is not None:
+            yield BlockSpec(targets, counts + (length,))
+        top = (state[mbar] if length is None else length) - 1
+        if len(targets) < k - 1 and top > 0:
+            stack.append(shorter(state, targets, counts, top))
+
+
+def _shifted(state: State, mbar: int, tgt: int, count: int) -> State:
+    """``state`` after ``count`` switches from ``mbar`` to ``tgt``."""
+    out = list(state)
+    out[mbar] -= count
+    out[tgt] += count
+    return tuple(out)
+
+
+def _run_exit(game: OnePopGame, state: State, mbar: int, tgt: int) -> Optional[int]:
+    """Length of the mbar->tgt run from the basin state ``state`` whose last
+    switch first leaves the basin; None if the status-quo agents run out first.
+
+    Along the run every payoff gap (A y)_j - (A y)_mbar grows linearly in the
+    run length, with slope s_j, so the exit is min_j floor(-gap_j/s_j) + 1
+    over s_j > 0.  ``in_basin`` confirms it, inside one switch before and
+    outside at it, stepping if not, so float-rounded ties are decided as a
+    switch-by-switch walk decides them.
+    """
+    a = game.payoffs
+    pay = a @ np.asarray(state, dtype=float)
+    slopes = a[:, tgt] - a[:, mbar] - (a[mbar, tgt] - a[mbar, mbar])
+    avail = state[mbar]
+    r = avail + 1
+    for gap, s in zip((pay - pay[mbar]).tolist(), slopes.tolist()):
+        if s > 0 and -gap < s * r:
+            r = min(r, math.floor(-gap / s) + 1)
+    while r > 1 and not in_basin(game, _shifted(state, mbar, tgt, r - 1), mbar):
+        r -= 1
+    while r <= avail and in_basin(game, _shifted(state, mbar, tgt, r), mbar):
+        r += 1
+    return r if r <= avail else None
+
+
+def cheapest_block_path(
+    game: OnePopGame, n: int, mbar: int, specs: Iterable[BlockSpec]
+) -> Optional[tuple[float, BlockSpec, tuple[State, ...]]]:
+    """The first of ``specs`` with the least logit cost: (cost, spec, states).
+
+    Each spec is priced in O(k) by summing ``run_cost_closed_form`` over its
+    runs, exact while every state before the last lies in the basin, as it
+    does for an enumerated spec.  The specs priced within ``_COST_ATOL`` of
+    the least are realized and re-priced with ``path_cost`` in the order
+    given, and the first strict minimum wins.  None when ``specs`` is empty.
+    """
+    start = convention_state(game, n, mbar)
+    lo = math.inf
+    near: list = []
+    for spec in specs:
+        price = 0.0
+        state = start
+        for tgt, cnt in zip(spec.targets, spec.counts):
+            price += run_cost_closed_form(game, state, mbar, tgt, cnt)
+            state = _shifted(state, mbar, tgt, cnt)
+        if price < lo:
+            lo = price
+            near = [entry for entry in near if entry[0] <= lo + _COST_ATOL]
+        if price <= lo + _COST_ATOL:
+            near.append((price, spec))
+    best = None
+    for _, spec in near:
+        states = spec.realize(game.k, n, mbar)
+        cost = path_cost(game, CostRule.LOGIT, states)
+        if best is None or cost < best[0]:
+            best = (cost, spec, states)
+    return best

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import warnings
 
 import pytest
 
@@ -98,6 +99,35 @@ def test_exit_rejects_convention_out_of_range(tech_path, capsys, convention, mod
     )
     assert code == 2
     assert err == f"error: convention {convention} outside 1..3 (1-based)\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("mode", ["--oracle", "--reduced"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_exit_rejects_empty_population(tech_path, capsys, n, mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way out
+        code, out, err = run(
+            capsys, "exit", tech_path, "--convention", "1", mode, f"--n={n}"
+        )
+    assert code == 2
+    assert err == f"error: population size n={n} must be at least 1\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
+                                 MemoryError()])
+def test_exit_out_of_resources_is_exit_3(tech_path, capsys, monkeypatch, exc):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("ldl.cli.exit_reduced", exhausted)
+    code, out, err = run(
+        capsys, "exit", tech_path, "--convention", "1", "--reduced", "--n", "12"
+    )
+    assert code == 3
+    assert err.startswith(f"error: out of resources: {type(exc).__name__}")
+    assert err.count("\n") == 1
     assert out == ""
 
 

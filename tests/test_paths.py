@@ -16,13 +16,25 @@ from ldl import (
     cp2_delta,
     cp2_direct,
     enumerate_block_paths,
+    exit_limit_one_pop,
+    exit_reduced,
     in_basin,
     path_cost,
     straighten,
 )
 from ldl.chain import payoff_vector
 from ldl.paths import build_exchange_triple, run_cost_closed_form
-from gamegen import TECH, TWO_STRATEGY, random_basin_states, random_condition_a_games
+from gamegen import (
+    DECIMAL_TIE,
+    ROUTED,
+    TECH,
+    TECH_SKEWED,
+    TECH_UNEVEN,
+    TWO_STRATEGY,
+    random_basin_states,
+    random_condition_a_games,
+    random_decimal_games,
+)
 
 
 def chain_from(start, moves):
@@ -391,3 +403,84 @@ def test_block_spec_validation():
         BlockSpec((1, 1), (2, 2))
     with pytest.raises(ConditionError):
         BlockSpec((1,), (0,))
+
+
+# ---------------------------------------------------------------------------
+# The closed-form enumeration and pricing against the step-by-step reference
+
+
+def recursive_block_paths(game, n, mbar):
+    """Reference enumeration: grow each run one switch at a time, testing
+    the basin after every switch, and recurse into fresh targets."""
+    k = game.k
+
+    def dfs(state, used, targets, counts):
+        for tgt in range(k):
+            if tgt == mbar or tgt in used or state[mbar] < 1:
+                continue
+            nxt = apply_move(state, Move(mbar, tgt))
+            yield from extend(nxt, used | {tgt}, targets + (tgt,), counts + (1,))
+
+    def extend(state, used, targets, counts):
+        if not in_basin(game, state, mbar):
+            yield BlockSpec(targets, counts)
+            return
+        if state[mbar] >= 1:
+            nxt = apply_move(state, Move(mbar, targets[-1]))
+            grown = counts[:-1] + (counts[-1] + 1,)
+            yield from extend(nxt, used, targets, grown)
+        yield from dfs(state, used, targets, counts)
+
+    start = tuple(n if i == mbar else 0 for i in range(k))
+    yield from dfs(start, frozenset(), (), ())
+
+
+def reference_exit_reduced(game, n, mbar):
+    """Re-price every spec with ``path_cost``; the first strict minimum wins."""
+    best = None
+    for spec in recursive_block_paths(game, n, mbar):
+        states = spec.realize(game.k, n, mbar)
+        c = path_cost(game, CostRule.LOGIT, states)
+        if best is None or c < best[0]:
+            best = (c, spec, states)
+    return best
+
+
+def sweep_games():
+    return ([TECH, TECH_SKEWED, TECH_UNEVEN, ROUTED, DECIMAL_TIE, TWO_STRATEGY]
+            + random_condition_a_games(3, seed=71)
+            + random_condition_a_games(1, seed=72, k=4)
+            + random_decimal_games(3, seed=73)
+            + random_decimal_games(1, seed=74, k=4))
+
+
+def test_block_enumeration_matches_recursive_reference():
+    for g in sweep_games():
+        for n in range(1, 32, 1 if g.k == 3 else 5):
+            for m in range(g.k):
+                assert list(enumerate_block_paths(g, n, m)) == \
+                    list(recursive_block_paths(g, n, m)), (g.payoffs, n, m)
+
+
+def test_exit_reduced_matches_path_cost_on_every_spec():
+    cases = [(g, n, m) for g in sweep_games()
+             for n in ((1, 2, 5, 12, 19, 31) if g.k == 3 else (1, 2, 5, 12))
+             for m in range(g.k)]
+    # Specs whose closed-form prices tie within rounding, where only the
+    # step-by-step re-pricing picks the reference's spec.
+    decimal = random_decimal_games(12, seed=7)
+    cases += [(random_condition_a_games(12, seed=5)[6], 7, 1),
+              (decimal[2], 3, 0), (decimal[6], 10, 1)]
+    for g, n, m in cases:
+        res = exit_reduced(g, n, m, validate=False)
+        cost, spec, states = reference_exit_reduced(g, n, m)
+        assert (res.cost, res.block, res.witness.states) == \
+            (cost, spec, states), (g.payoffs, n, m)
+
+
+def test_exit_reduced_large_population_does_not_recurse():
+    n = 2000
+    res = exit_reduced(TECH, n, 0)
+    payoff_range = TECH.payoffs.max() - TECH.payoffs.min()
+    assert abs(res.normalized - exit_limit_one_pop(TECH, 0).cost) <= payoff_range / n
+    assert res.block == BlockSpec((1,), (res.witness.states[-1][1],))
