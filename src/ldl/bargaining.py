@@ -8,6 +8,7 @@ frontiers used in the tests, and keeps every root bracketable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -117,6 +118,8 @@ MAX_GRID = 100_000
 
 
 def _grid_size(frontier: Frontier, delta: float) -> int:
+    if not (math.isfinite(delta) and delta > 0):
+        raise ConditionError(f"delta must be positive and finite, got {delta}")
     L = frontier.s_bar / delta
     if abs(L - round(L)) > 1e-9 or round(L) < 3:
         raise ConditionError("delta must divide s_bar into at least 3 cells")

@@ -28,7 +28,9 @@ from .games import Game, OnePopGame, TwoPopGame, check_convention
 State = tuple  # tuple[int, ...] (one-pop) or (tuple[int, ...], tuple[int, ...])
 
 KERNEL_STATE_CAP = 50_000  # states (or state pairs) of an exact kernel
-ONE_POP_SEARCH_CAP = 1_000_000  # states a least-cost search may settle
+# States a least-cost search may settle, and the largest n whose reduced-
+# search witness (up to n + 1 states) is built.
+ONE_POP_SEARCH_CAP = 1_000_000
 TWO_POP_SEARCH_CAP = 10_000_000
 
 

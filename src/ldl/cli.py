@@ -120,19 +120,37 @@ def _load_game(path: str):
 
 def _guardrail() -> Optional[int]:
     raw = os.environ.get("LDL_GUARDRAIL_STATES")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConditionError(
+            f"LDL_GUARDRAIL_STATES expects an integer, got {raw!r}") from None
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _parse_list(text: str, kind: type, noun: str, option: str) -> list:
+    """A non-empty comma list of ``kind`` values for ``option``."""
+    try:
+        vals = [kind(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        vals = []
+    if not vals:
+        raise ConditionError(f"{option} expects a comma list of {noun}, "
+                             f"got {text!r}")
+    return vals
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_floats(text: str, option: str) -> list[float]:
+    return _parse_list(text, float, "numbers", option)
+
+
+def _parse_ints(text: str, option: str) -> list[int]:
+    return _parse_list(text, int, "integers", option)
 
 
 def _frontier(args) -> bargaining.Frontier:
-    vals = _parse_floats(args.frontier)
+    vals = _parse_floats(args.frontier, "--frontier")
     if len(vals) != 3:
         raise ConditionError("--frontier expects a,b,p")
     return bargaining.Frontier(*vals)
@@ -203,14 +221,13 @@ def cmd_exit(args) -> int:
     else:
         if not args.n:
             raise ConditionError("--oracle/--reduced need --n")
-        for n in _parse_ints(args.n):
+        for n in _parse_ints(args.n, "--n"):
             if args.mode == "reduced":
                 if isinstance(game, TwoPopGame) or rule is not CostRule.LOGIT:
                     raise ConditionError(
                         "the reduced search covers one-population logit only"
                     )
-                kwargs = {} if guardrail is None else {"guardrail": guardrail}
-                res = exit_reduced(game, n, m, **kwargs)
+                res = exit_reduced(game, n, m)
             else:
                 res = exit_bruteforce(game, n, m, rule, guardrail=guardrail)
             dom = _dominant_target(res)
@@ -277,7 +294,7 @@ def cmd_stability(args) -> int:
     if args.oracle:
         if not args.n:
             raise ConditionError("--oracle needs --n")
-        n = _parse_ints(args.n)[0]
+        n = _parse_ints(args.n, "--n")[0]
         costs = stability.transition_cost_matrix(game, n, rule, guardrail)
         roots = stability.arborescence_root(costs)
         sections.append(
@@ -313,9 +330,9 @@ def cmd_stability(args) -> int:
             raise ConditionError(
                 "no stable candidate to trace; pass --convention explicitly"
             )
-        n = _parse_ints(args.n)[0]
+        n = _parse_ints(args.n, "--n")[0]
         rows = []
-        for b in _parse_floats(args.beta):
+        for b in _parse_floats(args.beta, "--beta"):
             mass = stability.convention_mass(game, n, b, target, rule, guardrail)
             rows.append((b, target + 1, mass))
         sections.append(
@@ -358,7 +375,8 @@ def cmd_bargain(args) -> int:
 
 def cmd_sweep(args) -> int:
     fr = _frontier(args)
-    rows = bargaining.convergence_sweep(fr, _parse_floats(args.deltas), args.mode)
+    deltas = _parse_floats(args.deltas, "--deltas")
+    rows = bargaining.convergence_sweep(fr, deltas, args.mode)
     sections = [
         Section(
             "sweep",

@@ -1,9 +1,11 @@
 """Minimum-cost escape from a convention.
 
 Three routes to the same number: an exact Dijkstra oracle over the discrete
-state space, a search restricted to block paths, and the closed-form
-infinite-population limits.  The oracle and the reduced search agree exactly
-at every population size; the limits are their asymptotic value.
+state space, a reduced search that prices only the k-1 straight runs out of
+the convention (the paper's theorem: under the structural conditions the
+most likely escape is one run of identical mistakes), and the closed-form
+infinite-population limits.  The oracle and the reduced search agree at
+every population size; the limits are their asymptotic value.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from .games import (
     validate_one_pop,
     validate_two_pop,
 )
-from .paths import (BlockSpec, Path, cheapest_block_path,
-                    enumerate_block_paths)
+from .paths import BlockSpec, Path, cheapest_block_path
 
 
 @dataclass(frozen=True)
@@ -223,25 +224,22 @@ def exit_bruteforce(
                               guardrail=guardrail)
 
 
-def exit_reduced(
-    game: OnePopGame,
-    n: int,
-    mbar: int,
-    guardrail: Optional[int] = None,
-    validate: bool = True,
-) -> EscapeResult:
-    """Minimum escape cost over block paths only (logit rule).
+def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
+    """Minimum escape cost over the straight block paths (logit rule).
 
-    Equals the oracle value exactly: under the structural conditions the
-    block family always contains a globally minimal escape path.
+    Equals the oracle value: under the structural conditions, which are
+    always checked, a least-cost escape consists of repeated identical
+    mistakes from the status quo to one other convention, so pricing the
+    k-1 straight runs suffices.  A game that fails them is refused, since
+    a path with two targets can then be cheaper, and so is an n above
+    ``ONE_POP_SEARCH_CAP``, whose witness would not fit in memory.
     """
     check_convention(game, mbar)
-    if validate:
-        _require_condition(game, mbar)
-    kwargs = {} if guardrail is None else {"guardrail": guardrail}
-    best = cheapest_block_path(
-        game, n, mbar, enumerate_block_paths(game, n, mbar, **kwargs)
-    )
+    if n > ONE_POP_SEARCH_CAP:
+        raise ConditionError(f"population size n={n} exceeds the reduced "
+                             f"search's cap of {ONE_POP_SEARCH_CAP}")
+    _require_condition(game, mbar)
+    best = cheapest_block_path(game, n, mbar)
     if best is None:
         raise LdlError("no block escape path exists")
     cost, spec, states = best

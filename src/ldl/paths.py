@@ -3,14 +3,18 @@
 The central objects are escape paths out of a convention's basin and their
 reduction to "block" form: a block path leaves the status-quo strategy in
 runs of identical moves (first t1 switches to one target, then t2 to the
-next, and so on) and exits the basin exactly at its final state.
+next, and so on) and exits the basin exactly at its final state.  Under the
+structural conditions the search needs only the straight ones, a single run
+to one target: ``enumerate_block_paths`` solves each of the k-1 runs' exits
+in closed form and ``cheapest_block_path`` prices them in O(k) before one
+O(n) witness is realized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,10 +29,9 @@ from .chain import (
     path_cost,
     payoff_vector,
 )
-from .errors import ConditionError, GuardrailExceeded, LdlError
+from .errors import ConditionError, LdlError
 from .games import OnePopGame
 
-BLOCK_PATH_CAP = 10_000_000
 _COST_ATOL = 1e-9
 
 
@@ -337,11 +340,11 @@ def straighten(game: OnePopGame, path: Path) -> Path:
                                for a, b in zip(states, states[1:])]):
         # The exchange identity guarantees a cheap reordering while every
         # state stays inside the basin; when truncation interfered, fall back
-        # to the cheapest enumerated block path, which never exceeds the cost
-        # of any escape path (the block family attains the global minimum).
+        # to the cheapest straight path, which never exceeds the cost of any
+        # escape path under the structural conditions (the straight family
+        # attains the global minimum).
         n = sum(path.states[0])
-        best = cheapest_block_path(game, n, mbar,
-                                   enumerate_block_paths(game, n, mbar))
+        best = cheapest_block_path(game, n, mbar)
         if best is None or best[0] > original_cost + _COST_ATOL:
             raise LdlError("no block path at or below the input cost was found")
         states = list(best[2])
@@ -364,65 +367,29 @@ def _is_block_sequence(seq: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of block escape paths
+# The straight escape paths
 
 
-def _block_path_bound(k: int, n: int) -> int:
-    """Loose upper bound on the number of block escape paths."""
-    total = 0
-    perm = 1
-    for K in range(1, k):
-        perm *= (k - 1) - (K - 1)
-        total += perm * max(n, 1) ** (K - 1)
-    return total
+def enumerate_block_paths(game: OnePopGame, n: int,
+                          mbar: int) -> Iterator[BlockSpec]:
+    """The straight block escape paths from the convention ``mbar``.
 
-
-def enumerate_block_paths(
-    game: OnePopGame, n: int, mbar: int, guardrail: int = BLOCK_PATH_CAP
-) -> Iterator[BlockSpec]:
-    """Every feasible block escape path from the convention ``mbar``.
-
-    A spec is yielded when all states before the last lie in the basin and
-    the final state exits it strictly.  The order is depth first, fresh
-    targets in ascending index: for each run, first the spec whose run
-    exits the basin, then, for each shorter run length in descending order,
-    the specs that go on with a fresh target.  Each run's exit is solved in
-    closed form and the walk keeps an explicit stack of at most k lazy
-    branch lists, so it never recurses; a run on the last unused target
-    yields its exiting spec and pushes nothing.
+    For each target u != mbar in ascending order, the spec of one mbar->u
+    run whose last switch first leaves the basin, so at most k-1 specs; a
+    target whose run uses up the status-quo agents inside the basin has
+    none.  Under the structural conditions one of them is a least-cost
+    escape path: the paper's theorem says the most likely escapes consist
+    only of repeated identical mistakes from the status quo to one other
+    convention, so no spec with two targets is needed.
     """
-    k = game.k
     start = convention_state(game, n, mbar)
-    if _block_path_bound(k, n) > guardrail:
-        raise GuardrailExceeded(
-            f"block-path enumeration bound exceeds {guardrail}; "
-            "use the closed-form limit instead"
-        )
     if not in_basin(game, start, mbar):
         raise ConditionError("the convention itself is outside its basin")
-
-    def fresh(state, targets, counts):
-        return ((state, targets + (u,), counts) for u in range(k)
-                if u != mbar and u not in targets)
-
-    def shorter(state, targets, counts, top):
-        for c in range(top, 0, -1):
-            yield from fresh(_shifted(state, mbar, targets[-1], c), targets,
-                             counts + (c,))
-
-    stack = [fresh(start, (), ())]
-    while stack:
-        item = next(stack[-1], None)
-        if item is None:
-            stack.pop()
-            continue
-        state, targets, counts = item
-        length = _run_exit(game, state, mbar, targets[-1])
-        if length is not None:
-            yield BlockSpec(targets, counts + (length,))
-        top = (state[mbar] if length is None else length) - 1
-        if len(targets) < k - 1 and top > 0:
-            stack.append(shorter(state, targets, counts, top))
+    for u in range(game.k):
+        if u != mbar:
+            length = _run_exit(game, start, mbar, u)
+            if length is not None:
+                yield BlockSpec((u,), (length,))
 
 
 def _shifted(state: State, mbar: int, tgt: int, count: int) -> State:
@@ -459,32 +426,25 @@ def _run_exit(game: OnePopGame, state: State, mbar: int, tgt: int) -> Optional[i
 
 
 def cheapest_block_path(
-    game: OnePopGame, n: int, mbar: int, specs: Iterable[BlockSpec]
+    game: OnePopGame, n: int, mbar: int
 ) -> Optional[tuple[float, BlockSpec, tuple[State, ...]]]:
-    """The first of ``specs`` with the least logit cost: (cost, spec, states).
+    """The cheapest straight escape path from ``mbar``: (cost, spec, states).
 
-    Each spec is priced in O(k) by summing ``run_cost_closed_form`` over its
-    runs, exact while every state before the last lies in the basin, as it
-    does for an enumerated spec.  The specs priced within ``_COST_ATOL`` of
-    the least are realized and re-priced with ``path_cost`` in the order
-    given, and the first strict minimum wins.  None when ``specs`` is empty.
+    Each spec of ``enumerate_block_paths`` is priced in closed form by
+    ``run_cost_closed_form``, exact since every state before the last lies
+    in the basin.  The specs priced within ``_COST_ATOL`` of the least are
+    realized and re-priced with ``path_cost`` in target order, and the
+    first strict minimum wins.  None when no run leaves the basin.
     """
     start = convention_state(game, n, mbar)
-    lo = math.inf
-    near: list = []
-    for spec in specs:
-        price = 0.0
-        state = start
-        for tgt, cnt in zip(spec.targets, spec.counts):
-            price += run_cost_closed_form(game, state, mbar, tgt, cnt)
-            state = _shifted(state, mbar, tgt, cnt)
-        if price < lo:
-            lo = price
-            near = [entry for entry in near if entry[0] <= lo + _COST_ATOL]
-        if price <= lo + _COST_ATOL:
-            near.append((price, spec))
+    priced = [(run_cost_closed_form(game, start, mbar, spec.targets[0],
+                                    spec.counts[0]), spec)
+              for spec in enumerate_block_paths(game, n, mbar)]
+    lo = min((price for price, _ in priced), default=math.inf)
     best = None
-    for _, spec in near:
+    for price, spec in priced:
+        if price > lo + _COST_ATOL:
+            continue
         states = spec.realize(game.k, n, mbar)
         cost = path_cost(game, CostRule.LOGIT, states)
         if best is None or cost < best[0]:

@@ -131,6 +131,39 @@ def test_exit_out_of_resources_is_exit_3(tech_path, capsys, monkeypatch, exc):
     assert out == ""
 
 
+def test_exit_reduced_refuses_a_game_failing_validation(tmp_path, capsys):
+    p = tmp_path / "no_bandwagon.json"
+    p.write_text(game_to_json(OnePopGame([[7, 4, -6], [6, 10, -5], [-2, 6, 4]])))
+    code, out, err = run(
+        capsys, "exit", str(p), "--convention", "3", "--reduced", "--n", "5"
+    )
+    assert code == 2
+    assert err.startswith("error: game fails structural validation")
+    assert err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["exit", "GAME", "--convention", "1", "--oracle", "--n", "abc"], None),
+    (["exit", "GAME", "--convention", "1", "--oracle", "--n", "1.5"], None),
+    (["exit", "GAME", "--convention", "1", "--reduced", "--n", ","], None),
+    (["stability", "GAME", "--invariant", "--n", "5", "--beta", "abc"], None),
+    (["bargain", "--frontier", "1,x,0.5", "--delta", "0.01"], None),
+    (["bargain", "--frontier", "1,3,0.5", "--delta", "nan"], None),
+    (["bargain", "--frontier", "1,3,0.5", "--delta", "0"], None),
+    (["sweep", "--frontier", "1,3,0.5", "--deltas", ","], None),
+    (["exit", "GAME", "--convention", "1", "--oracle", "--n", "6"], "abc"),
+])
+def test_malformed_numbers_are_refused(tech_path, capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("LDL_GUARDRAIL_STATES", env)
+    argv = [tech_path if a == "GAME" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_exit_reduced_rejects_incompatible_rules(tech_path, capsys):
     code, _, err = run(
         capsys, "exit", tech_path, "--convention", "1", "--reduced",

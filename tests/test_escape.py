@@ -119,7 +119,7 @@ def test_oracle_equivalence_seeded_k3_and_k4():
         for m in range(g.k):
             for n in (6, 11, 15):
                 a = exit_bruteforce(g, n, m).cost
-                b = exit_reduced(g, n, m, guardrail=10**7).cost
+                b = exit_reduced(g, n, m).cost
                 assert abs(a - b) <= 1e-9
 
 
@@ -135,6 +135,25 @@ def test_reduced_two_strategy_closed_summation():
     rho = res.block.counts[0]
     closed = run_cost_closed_form(TWO_STRATEGY, (6, 0), 0, 1, rho)
     assert res.cost == pytest.approx(closed, abs=1e-12)
+
+
+# A strict-convention game failing the bandwagon property, whose least-cost
+# escape from strategy 3 at n = 5 needs two targets: two switches from 3 to
+# 1, then one from 3 to 2, costing 18.4; the cheapest straight run costs 18.6.
+NO_BANDWAGON = OnePopGame([[7, 4, -6], [6, 10, -5], [-2, 6, 4]])
+
+
+def test_reduced_refuses_a_witness_too_large_to_build():
+    with pytest.raises(ConditionError, match="cap"):
+        exit_reduced(TECH, 10**6 + 1, 0)
+
+
+def test_reduced_refuses_a_game_where_two_targets_win():
+    with pytest.raises(ConditionError):
+        exit_reduced(NO_BANDWAGON, 5, 2)
+    res = exit_bruteforce(NO_BANDWAGON, 5, 2, validate=False)
+    assert res.cost == pytest.approx(18.4, abs=1e-9)
+    assert {mv.dst for mv in res.witness.moves} == {0, 1}
 
 
 # ---------------------------------------------------------------------------

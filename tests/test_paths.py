@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ldl import (
     BlockSpec,
     ConditionError,
     CostRule,
-    GuardrailExceeded,
     Move,
     OnePopGame,
     Path,
@@ -16,6 +16,7 @@ from ldl import (
     cp2_delta,
     cp2_direct,
     enumerate_block_paths,
+    exit_bruteforce,
     exit_limit_one_pop,
     exit_reduced,
     in_basin,
@@ -363,7 +364,7 @@ def naive_blocky_escape_count(game, n, mbar):
 
 
 def test_block_enumeration_count_tech_n6():
-    specs = list(enumerate_block_paths(TECH, 6, 0))
+    specs = list(recursive_block_paths(TECH, 6, 0))
     assert len(specs) == 7
     assert naive_blocky_escape_count(TECH, 6, 0) == 7
     # every spec realizes to a genuine escape path
@@ -376,7 +377,7 @@ def test_block_enumeration_count_tech_n6():
 def test_block_enumeration_matches_oracle_on_random_games():
     for idx, g in enumerate(random_condition_a_games(5, seed=61)):
         n = 7
-        assert len(list(enumerate_block_paths(g, n, 0))) == \
+        assert len(list(recursive_block_paths(g, n, 0))) == \
             naive_blocky_escape_count(g, n, 0)
 
 
@@ -393,11 +394,6 @@ def test_block_enumeration_population_of_one():
     assert specs == [BlockSpec((1,), (1,)), BlockSpec((2,), (1,))]
 
 
-def test_block_enumeration_guardrail():
-    with pytest.raises(GuardrailExceeded):
-        list(enumerate_block_paths(TECH, 10, 0, guardrail=3))
-
-
 def test_block_spec_validation():
     with pytest.raises(ConditionError):
         BlockSpec((1, 1), (2, 2))
@@ -406,7 +402,8 @@ def test_block_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# The closed-form enumeration and pricing against the step-by-step reference
+# The straight search against the full block-path search, which survives here
+# only as the reference
 
 
 def recursive_block_paths(game, n, mbar):
@@ -458,8 +455,10 @@ def test_block_enumeration_matches_recursive_reference():
     for g in sweep_games():
         for n in range(1, 32, 1 if g.k == 3 else 5):
             for m in range(g.k):
-                assert list(enumerate_block_paths(g, n, m)) == \
-                    list(recursive_block_paths(g, n, m)), (g.payoffs, n, m)
+                straight = [spec for spec in recursive_block_paths(g, n, m)
+                            if len(spec.targets) == 1]
+                assert list(enumerate_block_paths(g, n, m)) == straight, \
+                    (g.payoffs, n, m)
 
 
 def test_exit_reduced_matches_path_cost_on_every_spec():
@@ -472,7 +471,7 @@ def test_exit_reduced_matches_path_cost_on_every_spec():
     cases += [(random_condition_a_games(12, seed=5)[6], 7, 1),
               (decimal[2], 3, 0), (decimal[6], 10, 1)]
     for g, n, m in cases:
-        res = exit_reduced(g, n, m, validate=False)
+        res = exit_reduced(g, n, m)
         cost, spec, states = reference_exit_reduced(g, n, m)
         assert (res.cost, res.block, res.witness.states) == \
             (cost, spec, states), (g.payoffs, n, m)
@@ -484,3 +483,25 @@ def test_exit_reduced_large_population_does_not_recurse():
     payoff_range = TECH.payoffs.max() - TECH.payoffs.min()
     assert abs(res.normalized - exit_limit_one_pop(TECH, 0).cost) <= payoff_range / n
     assert res.block == BlockSpec((1,), (res.witness.states[-1][1],))
+
+
+# Games drawn from the seeded samplers, which pass the structural conditions.
+condition_games = st.builds(
+    lambda make, seed, k: make(1, seed=seed, k=k),
+    st.sampled_from((random_condition_a_games, random_decimal_games)),
+    st.integers(0, 2**16), st.sampled_from((3, 4)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(games=condition_games, n=st.integers(1, 14))
+def test_straight_search_is_the_full_search(games, n):
+    # The paper's theorem: under the conditions one straight run is a
+    # least-cost escape, so the straight search loses nothing.
+    assume(games)
+    g = games[0]
+    for m in range(g.k):
+        res = exit_reduced(g, n, m)
+        cost, spec, states = reference_exit_reduced(g, n, m)
+        assert (res.cost, res.block, res.witness.states) == (cost, spec, states)
+        assert abs(res.cost - exit_bruteforce(g, n, m).cost) <= 1e-9
