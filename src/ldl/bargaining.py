@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConditionError
+from .games import NEAR_TIE
 
 RESIDUAL_TOL = 1e-10
 
@@ -37,8 +38,13 @@ class Frontier:
         return self.b
 
     def value(self, x):
-        inner = np.maximum(1.0 - np.asarray(x, dtype=float) / self.b, 0.0)
-        return (self.a * inner) ** self.p
+        base = self.a * np.maximum(1.0 - np.asarray(x, dtype=float) / self.b, 0.0)
+        if base.ndim == 0:
+            return base ** self.p
+        # libm pow per element, as for a scalar: numpy's vector pow can differ
+        # in the last bit, which r2 and l1 amplify, and a grid must equal its
+        # cells evaluated one at a time.
+        return (base.astype(object) ** self.p).astype(float)
 
     def __call__(self, x):
         out = self.value(x)
@@ -84,7 +90,7 @@ class BargainingSolutions:
 
     @property
     def ordering(self) -> str:
-        if abs(self.s_nash - self.s_egalitarian) <= 1e-9:
+        if abs(self.s_nash - self.s_egalitarian) <= NEAR_TIE:
             return "coincident"
         if self.s_nash > self.s_intentional > self.s_egalitarian:
             return "nash_above"
@@ -143,10 +149,9 @@ def rl_functions(frontier: Frontier, delta: float, m: float) -> tuple[float, flo
     return _neighbour_terms(frontier, delta, delta * m)
 
 
-def _neighbour_terms(f: Frontier, delta: float,
-                     x: float) -> tuple[float, float, float, float]:
-    """(r1, r2, l1, l2) at demand ``x``, with f evaluated once at each of
-    x - delta, x and x + delta."""
+def _neighbour_terms(f: Frontier, delta: float, x):
+    """(r1, r2, l1, l2) at demand ``x`` (a float or an array), with f
+    evaluated once at each of x - delta, x and x + delta."""
     below, here, above = f(x - delta), f(x), f(x + delta)
     r1 = (here - above) * x / (x + delta)
     r2 = x * (here - above) / here
@@ -155,23 +160,9 @@ def _neighbour_terms(f: Frontier, delta: float,
     return r1, r2, l1, l2
 
 
+_TERMS = ("r1", "r2", "l1", "l2")   # argmin ties resolve in this order
 _TERM_POPULATION = {"r1": "beta", "r2": "alpha", "l1": "beta", "l2": "alpha"}
 _TERM_DIRECTION = {"r1": +1, "r2": +1, "l1": -1, "l2": -1}
-
-
-def _terms_at(frontier: Frontier, delta: float, m: int, L: int,
-              rule: str) -> dict[str, float]:
-    r1, r2, l1, l2 = _neighbour_terms(frontier, delta, delta * m)
-    terms = {}
-    if m + 1 <= L - 1:
-        if rule == "unintentional":
-            terms["r1"] = r1
-        terms["r2"] = r2
-    if m - 1 >= 1:
-        terms["l1"] = l1
-        if rule == "unintentional":
-            terms["l2"] = l2
-    return terms
 
 
 @dataclass(frozen=True)
@@ -185,30 +176,16 @@ class CrossingPoints:
 
 def crossings(frontier: Frontier, delta: float) -> CrossingPoints:
     L = _grid_size(frontier, delta)
+    lo, hi = 1.0, float(L - 2)
 
     def cross(num_idx: int, den_idx: int) -> Optional[float]:
         def gap(mu: float) -> float:
-            vals = rl_functions(frontier, delta, mu)
+            vals = _neighbour_terms(frontier, delta, delta * mu)
             return vals[num_idx] - vals[den_idx]
 
-        lo, hi = 1.0, float(L - 2)
-        if hi <= lo:
+        if hi <= lo or gap(lo) * gap(hi) > 0:
             return None
-        glo, ghi = gap(lo), gap(hi)
-        if glo == 0:
-            return lo
-        if glo * ghi > 0:
-            return None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = gap(mid)
-            if gm == 0 or hi - lo < 1e-12:
-                return mid
-            if (gm > 0) == (glo > 0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _bisect(gap, lo, hi)
 
     return CrossingPoints(cross(0, 2), cross(1, 3), cross(1, 2))
 
@@ -249,15 +226,15 @@ def stable_division(frontier: Frontier, delta: float,
     if L == 3:
         warnings.append("coarsest valid grid (L = 3): results are indicative only")
 
-    radii = []
-    bindings = []
-    for m in range(1, L):
-        terms = _terms_at(frontier, delta, m, L, rule)
-        name = min(terms, key=terms.get)
-        radii.append(terms[name])
-        bindings.append(name)
-    hi = max(radii)
-    winners = tuple(m for m, r in zip(range(1, L), radii) if r >= hi - 1e-12)
+    cells = np.arange(1, L)
+    terms = np.array(_neighbour_terms(frontier, delta, delta * cells))
+    terms[:2, -1] = np.inf          # the top demand has no higher neighbour
+    terms[2:, 0] = np.inf           # demand 1 has no lower neighbour
+    if rule == "intentional":
+        terms[[0, 3]] = np.inf      # r1 and l2 are unintentional moves
+    binding_idx = np.argmin(terms, axis=0)
+    radii = terms[binding_idx, cells - 1]
+    winners = tuple((cells[radii >= radii.max() - 1e-12]).tolist())
     m_star = winners[0]
     if len(winners) > 1:
         warnings.append(
@@ -275,13 +252,14 @@ def stable_division(frontier: Frontier, delta: float,
         candidate = (
             cp.mu_star if sol.s_nash > sol.s_egalitarian else cp.mu_double_star
         )
-    agrees = candidate is not None and abs(candidate - m_star) <= 1.0 + 1e-9
+    agrees = candidate is not None and abs(candidate - m_star) <= 1.0 + NEAR_TIE
     if candidate is not None and not agrees:
         warnings.append(
             f"crossing candidate {candidate:.3f} disagrees with exhaustive "
             f"argmax {m_star}"
         )
 
+    bindings = tuple(_TERMS[i] for i in binding_idx)
     binding = bindings[m_star - 1]
     return StableDivision(
         rule=rule,
@@ -289,13 +267,13 @@ def stable_division(frontier: Frontier, delta: float,
         m_star=m_star,
         m_star_all=winners,
         x_star=x_star,
-        radius=radii[m_star - 1],
+        radius=float(radii[m_star - 1]),
         binding_term=binding,
         driving_population=_TERM_POPULATION[binding],
         transition_direction=_TERM_DIRECTION[binding],
         crossing_candidate=candidate,
         crossing_agrees=agrees,
-        per_m_binding=tuple(bindings),
+        per_m_binding=bindings,
         warnings=tuple(warnings),
     )
 

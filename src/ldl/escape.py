@@ -35,6 +35,7 @@ from .errors import (
     UnsupportedRuleError,
 )
 from .games import (
+    NEAR_TIE,
     OnePopGame,
     TwoPopGame,
     check_convention,
@@ -295,7 +296,7 @@ def exit_limit_one_pop(
         if j != mbar
     }
     lo = min(terms.values())
-    argmins = tuple(sorted(j for j, v in terms.items() if v <= lo + 1e-9))
+    argmins = tuple(sorted(j for j, v in terms.items() if v <= lo + NEAR_TIE))
     return EscapeResult(
         n=None,
         convention=mbar,
@@ -369,7 +370,7 @@ def exit_limit_two_pop(
             continue
         terms[j] = escape_term_two_pop(game, m, j, rule)
     lo = min(v for v, _ in terms.values())
-    argmins = tuple(sorted(j for j, (v, _) in terms.items() if v <= lo + 1e-9))
+    argmins = tuple(sorted(j for j, (v, _) in terms.items() if v <= lo + NEAR_TIE))
     driving = terms[argmins[0]][1]
     return EscapeResult(
         n=None,

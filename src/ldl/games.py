@@ -21,6 +21,7 @@ from .errors import ConditionError
 
 EQ_TOL = 1e-10        # residual accepted for solved indifference systems
 POS_TOL = 1e-12       # strict-positivity cutoff for support weights
+NEAR_TIE = 1e-9       # two computed costs or splits equal up to rounding
 FULL_SUPPORT_SCAN_MAX_K = 8   # beyond this the support scan is truncated
 
 

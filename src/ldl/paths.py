@@ -30,9 +30,7 @@ from .chain import (
     payoff_vector,
 )
 from .errors import ConditionError, LdlError
-from .games import OnePopGame
-
-_COST_ATOL = 1e-9
+from .games import NEAR_TIE, OnePopGame
 
 
 @dataclass(frozen=True)
@@ -287,7 +285,8 @@ def straighten(game: OnePopGame, path: Path) -> Path:
     a detour, or swap the order of two adjacent moves); phase two collects
     equal moves into consecutive runs using the exchange identity, keeping
     whichever reordering is cheaper.  A path already in block form is
-    returned unchanged.
+    returned unchanged; a path phase two cannot bring into block form
+    raises ``LdlError``.
     """
     states = list(path.states)
     mbar = convention_of(states[0])
@@ -332,25 +331,16 @@ def straighten(game: OnePopGame, path: Path) -> Path:
             break
         if path_cost(game, CostRule.LOGIT, merged) > path_cost(
             game, CostRule.LOGIT, states
-        ) + _COST_ATOL:
-            break   # an early basin exit broke the identity; use the fallback
+        ) + NEAR_TIE:
+            break   # an early basin exit broke the identity
         states = merged
 
     if not _is_block_sequence([move_between(a, b).dst
                                for a, b in zip(states, states[1:])]):
-        # The exchange identity guarantees a cheap reordering while every
-        # state stays inside the basin; when truncation interfered, fall back
-        # to the cheapest straight path, which never exceeds the cost of any
-        # escape path under the structural conditions (the straight family
-        # attains the global minimum).
-        n = sum(path.states[0])
-        best = cheapest_block_path(game, n, mbar)
-        if best is None or best[0] > original_cost + _COST_ATOL:
-            raise LdlError("no block path at or below the input cost was found")
-        states = list(best[2])
+        raise LdlError("straightening left a path that is not in block form")
 
     result = Path(tuple(states))
-    if result.cost(game) > original_cost + _COST_ATOL:
+    if result.cost(game) > original_cost + NEAR_TIE:
         raise LdlError("straightening increased the path cost")
     return result
 
@@ -432,7 +422,7 @@ def cheapest_block_path(
 
     Each spec of ``enumerate_block_paths`` is priced in closed form by
     ``run_cost_closed_form``, exact since every state before the last lies
-    in the basin.  The specs priced within ``_COST_ATOL`` of the least are
+    in the basin.  The specs priced within ``NEAR_TIE`` of the least are
     realized and re-priced with ``path_cost`` in target order, and the
     first strict minimum wins.  None when no run leaves the basin.
     """
@@ -443,7 +433,7 @@ def cheapest_block_path(
     lo = min((price for price, _ in priced), default=math.inf)
     best = None
     for price, spec in priced:
-        if price > lo + _COST_ATOL:
+        if price > lo + NEAR_TIE:
             continue
         states = spec.realize(game.k, n, mbar)
         cost = path_cost(game, CostRule.LOGIT, states)

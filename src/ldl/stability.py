@@ -26,9 +26,8 @@ from .escape import (
     escape_term_two_pop,
     pairwise_escape_term,
 )
-from .games import TwoPopGame
+from .games import NEAR_TIE, TwoPopGame
 
-NEAR_TIE = 1e-9
 EXHAUSTIVE_TREE_CAP = 9
 BETA_CAP = 64.0
 

@@ -15,6 +15,7 @@ from ldl import (
     solve_solutions,
     stable_division,
 )
+from ldl.bargaining import _neighbour_terms
 
 PANEL_A = Frontier(1, 3, 0.5)   # f(x) = sqrt(1 - x/3) on [0, 3]
 PANEL_B = Frontier(3, 1, 0.5)   # f(x) = sqrt(3 (1 - x)) on [0, 1]
@@ -212,6 +213,44 @@ def test_intentional_transitions_driven_by_beneficiary():
             assert term == "r2"  # rightward: first population deviates
         else:
             assert term == "l1"  # leftward: second population deviates
+
+
+def reference_grid(fr, delta, L, rule):
+    """The demand grid one cell at a time: (radii, winners, bindings), each
+    cell's binding term the first minimum in the order r1, r2, l1, l2."""
+    radii, bindings = [], []
+    for m in range(1, L):
+        r1, r2, l1, l2 = _neighbour_terms(fr, delta, delta * m)
+        terms = {}
+        if m + 1 <= L - 1:
+            if rule == "unintentional":
+                terms["r1"] = r1
+            terms["r2"] = r2
+        if m - 1 >= 1:
+            terms["l1"] = l1
+            if rule == "unintentional":
+                terms["l2"] = l2
+        name = min(terms, key=terms.get)
+        radii.append(terms[name])
+        bindings.append(name)
+    hi = max(radii)
+    winners = tuple(m for m, r in zip(range(1, L), radii) if r >= hi - 1e-12)
+    return radii, winners, tuple(bindings)
+
+
+@pytest.mark.parametrize("rule", ["unintentional", "intentional"])
+@pytest.mark.parametrize("L", [3, 4, 7, 30, 300, 3001])
+def test_stable_division_matches_per_cell_reference(L, rule):
+    # == and not approx: the grid is one array pass, and a vector pow that
+    # differs from the per-cell pow in the last bit moves radii and ties
+    for fr in (PANEL_A, PANEL_B, *seeded_frontiers(4, seed=31)):
+        delta = fr.s_bar / L
+        radii, winners, bindings = reference_grid(fr, delta, L, rule)
+        res = stable_division(fr, delta, rule)
+        assert res.m_star_all == winners
+        assert res.radius == radii[winners[0] - 1]
+        assert res.binding_term == bindings[winners[0] - 1]
+        assert res.per_m_binding == bindings
 
 
 def test_discrete_orderings_match_case_split():

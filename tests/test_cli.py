@@ -242,6 +242,12 @@ def test_stability_invariant_csv_matches_golden(game, argv, golden, capsys):
     ("exit_reduced.csv", ["exit", "tech.json", "--convention", "1", "--reduced",
                           "--n", "12"]),
     ("stability_oracle.csv", ["stability", "tech.json", "--oracle", "--n", "60"]),
+    ("bargain_a.csv", ["bargain", "--frontier", "1,3,0.5", "--delta", "0.01",
+                       "--mode", "unintentional"]),
+    ("bargain_b.csv", ["bargain", "--frontier", "3,1,0.5", "--delta", "0.001",
+                       "--mode", "intentional"]),
+    ("sweep_a.csv", ["sweep", "--frontier", "1,3,0.5", "--deltas",
+                     "0.1,0.05,0.01,0.001", "--mode", "intentional"]),
 ])
 def test_escape_csv_matches_golden(name, argv, capsys):
     argv = [os.path.join(BENCH, "data", a) if a.endswith(".json") else a

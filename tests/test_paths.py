@@ -268,38 +268,45 @@ def test_straighten_fixed_point():
 
 
 def test_straighten_randomized_walks():
-    rng = np.random.default_rng(777)
+    games = [TECH, *random_condition_a_games(3, seed=47, k=4)]
+    for seed, game in enumerate(games, start=777):
+        straighten_random_walks(game, seed)
+
+
+def straighten_random_walks(game, seed):
+    k = game.k
+    rng = np.random.default_rng(seed)
     done = 0
     while done < 40:
         n = int(rng.integers(6, 13))
-        state = (n, 0, 0)
+        state = (n,) + (0,) * (k - 1)
         states = [state]
         # random in-basin wander, then force an exit along a random edge
         for _ in range(int(rng.integers(0, 8))):
             options = []
-            for i in range(3):
+            for i in range(k):
                 if states[-1][i] < 1:
                     continue
-                for j in range(3):
+                for j in range(k):
                     if i == j:
                         continue
                     nxt = apply_move(states[-1], Move(i, j))
-                    if in_basin(TECH, nxt, 0):
+                    if in_basin(game, nxt, 0):
                         options.append(nxt)
             if not options:
                 break
             states.append(options[int(rng.integers(0, len(options)))])
-        tgt = int(rng.integers(1, 3))
-        while in_basin(TECH, states[-1], 0):
+        tgt = int(rng.integers(1, k))
+        while in_basin(game, states[-1], 0):
             if states[-1][0] < 1:
                 break
             states.append(apply_move(states[-1], Move(0, tgt)))
-        if in_basin(TECH, states[-1], 0):
+        if in_basin(game, states[-1], 0):
             continue
         p = Path(tuple(states))
-        s = straighten(TECH, p)
-        assert s.cost(TECH) <= p.cost(TECH) + 1e-9
-        assert not in_basin(TECH, s.states[-1], 0)
+        s = straighten(game, p)
+        assert s.cost(game) <= p.cost(game) + 1e-9
+        assert not in_basin(game, s.states[-1], 0)
         assert all(mv.src == 0 for mv in s.moves)
         seq = [mv.dst for mv in s.moves]
         runs = [t for i, t in enumerate(seq) if i == 0 or seq[i - 1] != t]
