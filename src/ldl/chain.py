@@ -10,6 +10,7 @@ separately.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
@@ -105,11 +106,18 @@ def move_between(x: State, y: State) -> Move:
     return Move(src[0], dst[0])
 
 
+def check_population(n: int) -> None:
+    """Refuse a population size that is not an integer of at least 1."""
+    if not isinstance(n, numbers.Integral):
+        raise ConditionError(f"population size n={n!r} must be an integer")
+    if n < 1:
+        raise ConditionError(f"population size n={n} must be at least 1")
+
+
 def convention_state(game: Game, n: int, m: int) -> State:
     """The monomorphic state where every agent plays ``m``."""
     check_convention(game, m)
-    if n < 1:
-        raise ConditionError(f"population size n={n} must be at least 1")
+    check_population(n)
     e = tuple(n if i == m else 0 for i in range(game.k))
     if isinstance(game, TwoPopGame):
         return (e, e)
@@ -160,8 +168,9 @@ def _pop_payoffs(game: TwoPopGame, state: State, pop: str) -> np.ndarray:
 def in_basin(game: Game, state: State, m: int) -> bool:
     """Weak-inequality basin membership: ``m`` is a (possibly tied) best reply.
 
-    The package's one discrete basin test: the searches, the block-path
-    enumeration and the public API all use it.  It compares unnormalized
+    The package's one discrete basin test: the block-path enumeration and
+    the public API use it, and the least-cost search applies it to a batch
+    of states' products, rounded alike.  It compares unnormalized
     payoffs, ``A @ counts`` (for two populations ``alpha @ beta_counts``
     and ``alpha_counts @ beta``), with the weak ``>=``.  Ties are exact for
     integer payoffs; with short-decimal payoffs a tie is decided by the
@@ -178,6 +187,7 @@ def in_basin(game: Game, state: State, m: int) -> bool:
 def basin(game: OnePopGame, n: int, m: int,
           guardrail: int = ONE_POP_SEARCH_CAP) -> frozenset:
     """All states of the size-n simplex where ``m`` is a weak best reply."""
+    check_population(n)
     total = num_states(n, game.k)
     if total > guardrail:
         raise GuardrailExceeded(
@@ -233,22 +243,24 @@ def cost_vector(game: Game, rule: CostRule, pay: np.ndarray, src: int,
     ``pop`` who now plays ``src`` and faces the payoffs ``pay``.
 
     The package's one per-rule cost dispatch: step costs, the kernel and
-    the least-cost searches all price moves with it.
+    the least-cost searches all price moves with it.  A 2-D ``pay`` is a
+    stack of payoff rows, priced row by row to the same bits.
     """
+    if rule is CostRule.BETTER_REPLY:
+        return np.maximum(pay[..., src, None] - pay, 0.0)
+    top = pay.max(axis=-1, keepdims=True)
     if rule is CostRule.LOGIT:
-        return pay.max() - pay
+        return top - pay
     if rule is CostRule.INTENTIONAL:
         if pop is None:
             raise UnsupportedRuleError(
                 "the intentional rule is defined for two-population games only"
             )
         conv = np.diag(game.matrix(pop))
-        cutoff = max(conv[m] for m in range(game.k) if pay[m] == pay.max())
-        return np.where(conv >= cutoff, pay.max() - pay, np.inf)
+        cutoff = np.where(pay == top, conv, -np.inf).max(axis=-1, keepdims=True)
+        return np.where(conv >= cutoff, top - pay, np.inf)
     if rule is CostRule.UNIFORM:
-        return np.where(pay == pay.max(), 0.0, 1.0)
-    if rule is CostRule.BETTER_REPLY:
-        return np.maximum(pay[src] - pay, 0.0)
+        return np.where(pay == top, 0.0, 1.0)
     raise UnsupportedRuleError(f"unknown rule {rule}")
 
 
@@ -357,8 +369,7 @@ def transition_matrix(
     move: n + 1 for one population with three strategies, that times the
     side's state count for two populations.
     """
-    if n < 1:
-        raise ConditionError(f"population size n={n} must be at least 1")
+    check_population(n)
     _check_beta(beta)
     two_pop = isinstance(game, TwoPopGame)
     k = game.k

@@ -13,20 +13,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .chain import (
     ONE_POP_SEARCH_CAP,
     TWO_POP_SEARCH_CAP,
     CostRule,
-    Move,
-    apply_move,
     cost_vector,
     convention_state,
-    in_basin,
-    payoff_vector,
-    payoff_vector_alpha,
-    payoff_vector_beta,
 )
 from .errors import (
     ConditionError,
@@ -72,51 +68,33 @@ class EscapeResult:
 # The least-cost search behind the oracle and the exact transition costs
 
 
-_FACED_PAYOFFS = {None: payoff_vector, "alpha": payoff_vector_alpha,
-                  "beta": payoff_vector_beta}
+def _price(game, rule: CostRule, target: int, pop: Optional[str],
+           faced: list) -> list:
+    """Basin flag and cost rows, as pairs ``(inside, rows)``, of the revisers
+    of ``pop`` facing each count vector in ``faced``, in one vectorized pass.
 
-
-def _edges(game, rule: CostRule) -> Callable:
-    """Moves out of a state with their finite costs, in the canonical order:
-    population (alpha first), then source, then target.
-
-    A reviser's costs depend on the counts it faces, the other side's for
-    two populations, and on its own strategy only under the better-reply
-    rule.  Two-population prices are kept per side and faced counts; one
-    population faces its own state, which a search expands once.
+    ``inside`` says that ``target`` is a best reply for them, and
+    ``rows[i][j]`` is the cost of a reviser playing ``i`` choosing ``j``;
+    only the better-reply rule looks at ``i``.  The products are stacked
+    matrix-vector products, which round exactly like the single-state
+    ``A @ c`` that ``in_basin`` and ``payoff_vector`` compute.  The matrix
+    product ``C @ A.T`` sums in another order and moves ties on decimal
+    payoffs, so it is not used.
     """
-    k = game.k
-    two_pop = isinstance(game, TwoPopGame)
-    memo: dict = {}
-
-    def prices(pop, faced) -> list:
-        pay = _FACED_PAYOFFS[pop](game, faced)
-        if rule is CostRule.BETTER_REPLY:
-            return [cost_vector(game, rule, pay, i, pop).tolist() for i in range(k)]
-        return [cost_vector(game, rule, pay, 0, pop).tolist()] * k
-
-    def edges(state):
-        if two_pop:
-            sides = (("alpha", state[0], state[1]), ("beta", state[1], state[0]))
-        else:
-            sides = ((None, state, state),)
-        out = []
-        for pop, counts, faced in sides:
-            if two_pop:
-                costs = memo.get((pop, faced))
-                if costs is None:
-                    costs = memo[pop, faced] = prices(pop, faced)
-            else:
-                costs = prices(pop, faced)
-            for i in range(k):
-                if counts[i] < 1:
-                    continue
-                for j, w in enumerate(costs[i]):
-                    if j != i and w != math.inf:
-                        out.append((Move(i, j, pop), w))
-        return out
-
-    return edges
+    if pop is None:
+        matrix = game.payoffs
+    else:
+        matrix = game.alpha if pop == "alpha" else game.beta.T
+    counts = np.array(faced, dtype=float)
+    prod = np.matmul(matrix[None], counts[:, :, None])[:, :, 0]
+    inside = (prod[:, target] >= prod.max(axis=1)).tolist()
+    pay = prod / counts.sum(axis=1, keepdims=True)
+    if rule is CostRule.BETTER_REPLY:
+        rows = np.stack([cost_vector(game, rule, pay, i, pop)
+                         for i in range(game.k)], axis=1).tolist()
+    else:
+        rows = [[r] * game.k for r in cost_vector(game, rule, pay, 0, pop).tolist()]
+    return list(zip(inside, rows))
 
 
 def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
@@ -124,15 +102,36 @@ def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
     """Least-cost path from convention ``start`` to the first settled state
     outside (``leaving``) or inside the basin of convention ``target``.
 
-    Moves are relaxed in the canonical order of ``_edges`` and only strict
-    improvements update a state, so witnesses are deterministic.
+    Moves are relaxed in the canonical order (population, alpha first, then
+    source, then target) and only strict improvements update a state, so
+    witnesses are deterministic.  Prices are batched: a settled state with
+    no prices yet has every side discovered since the last batch priced in
+    one ``_price`` pass.  A side is a population with the counts its
+    revisers face: one population faces its own state, whose prices are
+    dropped once it is expanded; two-population prices are kept per side.
+    Memory grows with the states discovered, not with the simplex.
     """
     check_convention(game, target)
     origin = convention_state(game, n, start)
+    two_pop = isinstance(game, TwoPopGame)
     if guardrail is None:
-        two_pop = isinstance(game, TwoPopGame)
         guardrail = TWO_POP_SEARCH_CAP if two_pop else ONE_POP_SEARCH_CAP
-    edges = _edges(game, rule)
+    k = game.k
+
+    def sides(x):  # (pop, the population's counts, the counts it faces)
+        if two_pop:
+            return (("alpha", x[0], x[1]), ("beta", x[1], x[0]))
+        return ((None, x, x),)
+
+    prices: dict = {}  # (pop, faced) -> (inside, cost rows)
+    fresh: dict = {}  # pop -> faced counts discovered since the last batch
+
+    def discover(x):
+        for pop, _, faced in sides(x):
+            if (pop, faced) not in prices:
+                fresh.setdefault(pop, set()).add(faced)
+
+    discover(origin)
     dist = {origin: 0.0}
     parent: dict = {origin: None}
     heap = [(0.0, 0, origin)]
@@ -143,7 +142,15 @@ def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
         if x in settled:
             continue
         settled.add(x)
-        if in_basin(game, x, target) != leaving:
+        here = sides(x)
+        if any((pop, faced) not in prices for pop, _, faced in here):
+            for pop, faced in fresh.items():
+                prices.update(zip(((pop, f) for f in faced),
+                                  _price(game, rule, target, pop, list(faced))))
+            fresh.clear()
+        priced = [prices[pop, faced] if two_pop else prices.pop((pop, faced))
+                  for pop, _, faced in here]
+        if all(inside for inside, _ in priced) != leaving:
             states = [x]
             while parent[states[-1]] is not None:
                 states.append(parent[states[-1]])
@@ -161,14 +168,27 @@ def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
                 f"search expanded more than {guardrail} states; "
                 "raise the guardrail to proceed"
             )
-        for move, w in edges(x):
-            y = apply_move(x, move)
-            nd = d + w
-            if nd < dist.get(y, math.inf):
-                dist[y] = nd
-                parent[y] = x
-                heapq.heappush(heap, (nd, counter, y))
-                counter += 1
+        for side, ((_, costs), (_, counts, _)) in enumerate(zip(priced, here)):
+            for i in range(k):
+                if counts[i] < 1:
+                    continue
+                for j, w in enumerate(costs[i]):
+                    if j == i or w == math.inf:
+                        continue
+                    c = list(counts)
+                    c[i] -= 1
+                    c[j] += 1
+                    y = tuple(c)
+                    if two_pop:
+                        y = (y, x[1]) if side == 0 else (x[0], y)
+                    nd = d + w
+                    if nd < dist.get(y, math.inf):
+                        if y not in dist:
+                            discover(y)
+                        dist[y] = nd
+                        parent[y] = x
+                        heapq.heappush(heap, (nd, counter, y))
+                        counter += 1
     raise LdlError("no terminal state is reachable")
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ldl import OnePopGame, in_basin, tech_game, validate_one_pop
+from ldl import OnePopGame, TwoPopGame, in_basin, tech_game, validate_one_pop
 from ldl.chain import enumerate_states
 
 TWO_STRATEGY = OnePopGame([[2, 0], [0, 1]])
@@ -17,6 +17,9 @@ ROUTED = OnePopGame([[10, 0, 2], [3, 9, 4], [1, 2, 8]])
 # One-decimal game whose n=30 escape from strategy 3 ends at (0, 11, 19),
 # where strategies 2 and 3 tie in exact arithmetic but not in float sums.
 DECIMAL_TIE = OnePopGame([[1.9, 0, -0.2], [-0.1, 1.6, -0.1], [0.2, -0.3, 1.0]])
+# Two populations with opposed preferences: alpha prefers convention 0,
+# beta convention 1.
+TWO_POP_2X2 = TwoPopGame([[2, 0], [0, 1]], [[1, 0], [0, 2]])
 
 
 def random_condition_a_games(count: int, seed: int, k: int = 3) -> list[OnePopGame]:

@@ -16,7 +16,11 @@ from ldl import (
     UnsupportedRuleError,
     apply_move,
     basin,
+    convention_state,
+    exit_bruteforce,
+    exit_reduced,
     in_basin,
+    invariant_measure,
     move_between,
     ndg_build,
     path_cost,
@@ -26,7 +30,15 @@ from ldl import (
     transition_matrix,
     transition_probability,
 )
-from ldl.chain import comp_rank, enumerate_states, hat_s, num_states
+from ldl.chain import (
+    comp_rank,
+    cost_vector,
+    enumerate_states,
+    hat_s,
+    num_states,
+    payoff_vector,
+    payoff_vector_alpha,
+)
 from ldl.errors import AdjacencyError
 from gamegen import (
     TECH,
@@ -34,6 +46,7 @@ from gamegen import (
     TWO_STRATEGY,
     random_basin_states,
     random_condition_a_games,
+    random_decimal_games,
 )
 
 
@@ -295,6 +308,40 @@ def test_kernel_validates_n_and_beta():
     for beta in (-1.0, math.inf, math.nan):
         with pytest.raises(ConditionError):
             transition_matrix(TECH, 3, beta)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0])
+def test_population_size_must_be_an_integer(n):
+    # 2.5 once ran to a cost of 17.2 with a witness ending at (0.5, 2, 0)
+    calls = (lambda: convention_state(TECH, n, 0),
+             lambda: basin(TECH, n, 0),
+             lambda: transition_matrix(TECH, n, 1.0),
+             lambda: invariant_measure(TECH, n, 1.0),
+             lambda: exit_bruteforce(TECH, n, 0),
+             lambda: exit_reduced(TECH, n, 0))
+    for call in calls:
+        with pytest.raises(ConditionError, match="must be an integer"):
+            call()
+    assert convention_state(TECH, np.int64(3), 0) == (3, 0, 0)
+    assert exit_bruteforce(TECH, np.int64(3), 0).cost == exit_bruteforce(TECH, 3, 0).cost
+
+
+def test_stacked_cost_vector_is_row_by_row():
+    # The batched oracle prices a stack of payoff rows in one call; each row
+    # must come out with the bits of its own 1-D call, ties included.
+    ndg = ndg_build(Frontier(1, 3, 0.5), 4)
+    cases = [(g, None, rule, payoff_vector) for g in
+             [TECH] + random_decimal_games(2, seed=21) + random_decimal_games(1, seed=22, k=4)
+             for rule in (CostRule.LOGIT, CostRule.UNIFORM, CostRule.BETTER_REPLY)]
+    cases += [(ndg, "alpha", rule, payoff_vector_alpha)
+              for rule in (CostRule.LOGIT, CostRule.INTENTIONAL,
+                           CostRule.UNIFORM, CostRule.BETTER_REPLY)]
+    for game, pop, rule, payoffs in cases:
+        pay = np.array([payoffs(game, c) for c in enumerate_states(12, game.k)])
+        for src in range(game.k):
+            stacked = cost_vector(game, rule, pay, src, pop)
+            rows = np.array([cost_vector(game, rule, p, src, pop) for p in pay])
+            assert stacked.tobytes() == rows.tobytes()
 
 
 def test_log_probability_recovers_cost():

@@ -1,16 +1,24 @@
 """exit-solver: oracle, reduced search, and closed-form limits."""
 
+import heapq
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ldl import (
     ConditionError,
     CostRule,
     Frontier,
     GuardrailExceeded,
+    LdlError,
+    Move,
     OnePopGame,
+    TwoPopGame,
     UnsupportedRuleError,
+    apply_move,
     exit_bruteforce,
     exit_limit_one_pop,
     exit_limit_two_pop,
@@ -20,17 +28,29 @@ from ldl import (
     ndg_build,
     pairwise_escape_term,
 )
-from ldl.escape import two_pop_thresholds
+from ldl.chain import (
+    ONE_POP_SEARCH_CAP,
+    TWO_POP_SEARCH_CAP,
+    convention_state,
+    cost_vector,
+    enumerate_states,
+    payoff_vector,
+    payoff_vector_alpha,
+    payoff_vector_beta,
+)
+from ldl.escape import _least_cost_search, _price, two_pop_thresholds
 from ldl.paths import run_cost_closed_form
 from gamegen import (
     DECIMAL_TIE,
     TECH,
+    TWO_POP_2X2,
     TWO_STRATEGY,
     random_condition_a_games,
     random_decimal_games,
 )
 
 NDG = ndg_build(Frontier(1, 3, 0.5), 6)  # delta = 0.5, demands 1..5
+NDG_L4 = ndg_build(Frontier(1, 3, 0.5), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +368,195 @@ def test_two_pop_oracle_approaches_limit():
     limit = exit_limit_two_pop(NDG, 1).cost
     res = exit_bruteforce(NDG, 40, 1)
     assert res.normalized == pytest.approx(limit, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# The batched search against the per-state search it replaced, which
+# survives here only as the reference
+
+
+_FACED_PAYOFFS = {None: payoff_vector, "alpha": payoff_vector_alpha,
+                  "beta": payoff_vector_beta}
+
+
+def reference_least_cost_search(game, n, start, target, leaving, rule,
+                                guardrail):
+    """Price one settled state at a time: its payoff vector, one
+    ``cost_vector`` call per side and ``in_basin``; two-population prices
+    memoized per side and faced counts.  Returns (cost, witness states)."""
+    k = game.k
+    two_pop = isinstance(game, TwoPopGame)
+    memo = {}
+
+    def prices(pop, faced):
+        pay = _FACED_PAYOFFS[pop](game, faced)
+        if rule is CostRule.BETTER_REPLY:
+            return [cost_vector(game, rule, pay, i, pop).tolist() for i in range(k)]
+        return [cost_vector(game, rule, pay, 0, pop).tolist()] * k
+
+    def edges(state):
+        if two_pop:
+            sides = (("alpha", state[0], state[1]), ("beta", state[1], state[0]))
+        else:
+            sides = ((None, state, state),)
+        out = []
+        for pop, counts, faced in sides:
+            if two_pop:
+                costs = memo.get((pop, faced))
+                if costs is None:
+                    costs = memo[pop, faced] = prices(pop, faced)
+            else:
+                costs = prices(pop, faced)
+            for i in range(k):
+                if counts[i] < 1:
+                    continue
+                for j, w in enumerate(costs[i]):
+                    if j != i and w != math.inf:
+                        out.append((Move(i, j, pop), w))
+        return out
+
+    origin = convention_state(game, n, start)
+    if guardrail is None:
+        guardrail = TWO_POP_SEARCH_CAP if two_pop else ONE_POP_SEARCH_CAP
+    dist = {origin: 0.0}
+    parent = {origin: None}
+    heap = [(0.0, 0, origin)]
+    counter = 1
+    settled = set()
+    while heap:
+        d, _, x = heapq.heappop(heap)
+        if x in settled:
+            continue
+        settled.add(x)
+        if in_basin(game, x, target) != leaving:
+            states = [x]
+            while parent[states[-1]] is not None:
+                states.append(parent[states[-1]])
+            return d, tuple(reversed(states))
+        if len(settled) > guardrail:
+            raise GuardrailExceeded(f"search expanded more than {guardrail} states")
+        for move, w in edges(x):
+            y = apply_move(x, move)
+            nd = d + w
+            if nd < dist.get(y, math.inf):
+                dist[y] = nd
+                parent[y] = x
+                heapq.heappush(heap, (nd, counter, y))
+                counter += 1
+    raise LdlError("no terminal state is reachable")
+
+
+def assert_search_is_reference(game, n, leaving, rule):
+    """Every start (and, entering a basin, every other target) agrees with
+    the reference: the same cost and witness, or the same refusal."""
+    for start in range(game.k):
+        for target in (start,) if leaving else set(range(game.k)) - {start}:
+            args = (game, n, start, target, leaving, rule, None)
+            try:
+                want = reference_least_cost_search(*args)
+            except LdlError as exc:
+                with pytest.raises(type(exc), match=str(exc)):
+                    _least_cost_search(*args)
+                continue
+            res = _least_cost_search(*args)
+            assert (res.cost, res.witness.states) == want, args[1:]
+
+
+one_pop_games = st.one_of(
+    st.just([DECIMAL_TIE]),
+    st.builds(lambda make, seed, k: make(1, seed=seed, k=k),
+              st.sampled_from((random_condition_a_games, random_decimal_games)),
+              st.integers(0, 2**16), st.sampled_from((3, 4))),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(games=one_pop_games, n=st.integers(1, 24), leaving=st.booleans(),
+       rule=st.sampled_from((CostRule.LOGIT, CostRule.UNIFORM,
+                             CostRule.BETTER_REPLY)))
+def test_batched_search_is_the_per_state_search_one_pop(games, n, leaving, rule):
+    assume(games)
+    assert_search_is_reference(games[0], n if games[0].k == 3 else n // 2 + 1,
+                               leaving, rule)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(game=st.sampled_from((NDG_L4, TWO_POP_2X2)), n=st.integers(1, 8),
+       leaving=st.booleans(),
+       rule=st.sampled_from((CostRule.LOGIT, CostRule.INTENTIONAL)))
+def test_batched_search_is_the_per_state_search_two_pop(game, n, leaving, rule):
+    assert_search_is_reference(game, n, leaving, rule)
+
+
+@pytest.mark.parametrize("leaving", [True, False])
+def test_batched_search_keeps_the_decimal_tie(leaving):
+    # The n = 30 escape from strategy 2 ends where 1 and 2 tie in exact
+    # arithmetic; only the per-state rounding of A @ c decides the tie.
+    assert_search_is_reference(DECIMAL_TIE, 30, leaving, CostRule.LOGIT)
+
+
+def test_guardrail_counts_the_reference_settled_states():
+    def finishes(search, guardrail):
+        try:
+            search(TECH, 60, 0, 0, True, CostRule.LOGIT, guardrail)
+        except GuardrailExceeded:
+            return False
+        return True
+
+    lo, hi = 0, 1891  # every state of the n = 60 simplex
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if finishes(reference_least_cost_search, mid) else (mid + 1, hi)
+    exit_bruteforce(TECH, 60, 0, guardrail=lo)
+    with pytest.raises(GuardrailExceeded):
+        exit_bruteforce(TECH, 60, 0, guardrail=lo - 1)
+
+
+def test_stacked_products_round_like_single_state_products():
+    # The batched search forms A @ c for a stack of states as stacked
+    # matrix-vector products; the matrix product C @ A.T sums in another
+    # order and disagrees in the last bit on decimal payoffs, which moves
+    # basin ties and costs.
+    games = [(g.payoffs, None) for g in
+             [DECIMAL_TIE] + random_decimal_games(3, seed=11)
+             + random_decimal_games(2, seed=12, k=4)]
+    games += [(NDG_L4.alpha, "alpha"), (NDG_L4.beta.T, "beta")]
+    for matrix, pop in games:
+        k = matrix.shape[0]
+        counts = np.array(list(enumerate_states(30 if k == 3 else 12, k)), dtype=float)
+        stacked = np.matmul(matrix[None], counts[:, :, None])[:, :, 0]
+        single = np.array([matrix @ c if pop != "beta" else c @ matrix.T
+                           for c in counts])
+        assert stacked.tobytes() == single.tobytes()
+
+
+def test_price_matches_per_state_basin_and_costs():
+    cases = [(g, None, rule) for g in [DECIMAL_TIE] + random_decimal_games(2, seed=13)
+             for rule in (CostRule.LOGIT, CostRule.UNIFORM, CostRule.BETTER_REPLY)]
+    cases += [(NDG_L4, pop, rule) for pop in ("alpha", "beta")
+              for rule in (CostRule.LOGIT, CostRule.INTENTIONAL)]
+    for game, pop, rule in cases:
+        faced = list(enumerate_states(30 if pop is None else 9, game.k))
+        own = range(game.k) if rule is CostRule.BETTER_REPLY else [0] * game.k
+        for target in range(game.k):
+            priced = _price(game, rule, target, pop, faced)
+            for counts, (inside, rows) in zip(faced, priced):
+                pay = _FACED_PAYOFFS[pop](game, counts)
+                assert rows == [cost_vector(game, rule, pay, i, pop).tolist()
+                                for i in own]
+                if pop is None:
+                    assert inside == in_basin(game, counts, target)
+
+
+def test_price_basin_flags_compose_to_the_two_pop_basin():
+    # A two-population state is inside when both sides' revisers are.
+    faced = list(enumerate_states(6, NDG_L4.k))
+    for target in range(NDG_L4.k):
+        alpha = [inside for inside, _ in
+                 _price(NDG_L4, CostRule.LOGIT, target, "alpha", faced)]
+        beta = [inside for inside, _ in
+                _price(NDG_L4, CostRule.LOGIT, target, "beta", faced)]
+        for a, a_faced_by_beta in zip(faced, beta):
+            for b, b_faced_by_alpha in zip(faced, alpha):
+                assert in_basin(NDG_L4, (a, b), target) == \
+                    (b_faced_by_alpha and a_faced_by_beta)
