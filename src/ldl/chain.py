@@ -4,7 +4,8 @@ States are plain tuples of agent counts: a one-population state is a
 length-k tuple summing to n, a two-population state is a pair
 ``(alpha_counts, beta_counts)`` with both summing to n.  The population
 size is always recoverable as ``sum(counts)``, so it is not carried
-separately.
+separately.  Public states stay such tuples, though the least-cost
+search keys each state by one int inside.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def move_between(x: State, y: State) -> Move:
 
 
 def check_population(n: int) -> None:
-    """Refuse a population size that is not an integer of at least 1."""
-    if not isinstance(n, numbers.Integral):
+    """Refuse a population size that is a bool, not an integer, or below 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ConditionError(f"population size n={n!r} must be an integer")
     if n < 1:
         raise ConditionError(f"population size n={n} must be at least 1")

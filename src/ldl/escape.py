@@ -21,6 +21,7 @@ from .chain import (
     ONE_POP_SEARCH_CAP,
     TWO_POP_SEARCH_CAP,
     CostRule,
+    check_population,
     cost_vector,
     convention_state,
 )
@@ -102,39 +103,39 @@ def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
     """Least-cost path from convention ``start`` to the first settled state
     outside (``leaving``) or inside the basin of convention ``target``.
 
-    Moves are relaxed in the canonical order (population, alpha first, then
-    source, then target) and only strict improvements update a state, so
-    witnesses are deterministic.  Prices are batched: a settled state with
-    no prices yet has every side discovered since the last batch priced in
-    one ``_price`` pass.  A side is a population with the counts its
-    revisers face: one population faces its own state, whose prices are
-    dropped once it is expanded; two-population prices are kept per side.
-    Memory grows with the states discovered, not with the simplex.
+    A state is keyed by one int, its counts as digits in radix ``n + 1``
+    (alpha's, then beta's), so a move adds a constant from a k-by-k table
+    per population.  Moves are relaxed in the canonical order (population,
+    source, target) and only strict improvements update a state, so
+    witnesses are deterministic.  A settled state with no prices yet has
+    every side (a population and the key of the counts it faces) found
+    since the last batch decoded and priced in one ``_price`` pass; one
+    population's prices are dropped once its state is expanded.
     """
     check_convention(game, target)
-    origin = convention_state(game, n, start)
+    convention_state(game, n, start)  # refuses a bad n or start
     two_pop = isinstance(game, TwoPopGame)
     if guardrail is None:
         guardrail = TWO_POP_SEARCH_CAP if two_pop else ONE_POP_SEARCH_CAP
-    k = game.k
+    radix = int(n) + 1  # a numpy n would wrap keys past 2**63
+    powers = [radix ** i for i in range(game.k)]
+    place = radix * powers[-1]
+    pops = ("alpha", "beta") if two_pop else (None,)
+    steps = [[[(pj - pi) * place ** side for pj in powers] for pi in powers]
+             for side in range(len(pops))]  # the key change of a move i -> j
 
-    def sides(x):  # (pop, the population's counts, the counts it faces)
-        if two_pop:
-            return (("alpha", x[0], x[1]), ("beta", x[1], x[0]))
-        return ((None, x, x),)
+    def faced(x):  # the key of the counts each population's revisers face
+        return divmod(x, place) if two_pop else (x,)
 
-    prices: dict = {}  # (pop, faced) -> (inside, cost rows)
-    fresh: dict = {}  # pop -> faced counts discovered since the last batch
+    def decode(f):  # the counts of one population's key
+        return [f // p % radix for p in powers]
 
-    def discover(x):
-        for pop, _, faced in sides(x):
-            if (pop, faced) not in prices:
-                fresh.setdefault(pop, set()).add(faced)
-
-    discover(origin)
-    dist = {origin: 0.0}
-    parent: dict = {origin: None}
-    heap = [(0.0, 0, origin)]
+    prices = tuple({} for _ in pops)  # faced key -> (counts, (inside, rows))
+    x = (radix - 1) * powers[start] * (1 + place if two_pop else 1)  # all play start
+    found = [x]  # states discovered since the last batch
+    dist = {x: 0.0}
+    parent: dict = {x: None}
+    heap = [(0.0, 0, x)]
     counter = 1
     settled = set()
     while heap:
@@ -142,25 +143,29 @@ def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
         if x in settled:
             continue
         settled.add(x)
-        here = sides(x)
-        if any((pop, faced) not in prices for pop, _, faced in here):
-            for pop, faced in fresh.items():
-                prices.update(zip(((pop, f) for f in faced),
-                                  _price(game, rule, target, pop, list(faced))))
-            fresh.clear()
-        priced = [prices[pop, faced] if two_pop else prices.pop((pop, faced))
-                  for pop, _, faced in here]
-        if all(inside for inside, _ in priced) != leaving:
-            states = [x]
-            while parent[states[-1]] is not None:
-                states.append(parent[states[-1]])
+        here = faced(x)
+        if any(f not in known for known, f in zip(prices, here)):
+            for pop, known, keys in zip(pops, prices, zip(*map(faced, found))):
+                batch = [f for f in dict.fromkeys(keys) if f not in known]
+                if batch:
+                    rows = [decode(f) for f in batch]
+                    known.update(zip(batch, zip(rows, _price(game, rule, target,
+                                                              pop, rows))))
+            found.clear()
+        priced = [known[f] if two_pop else known.pop(f)
+                  for known, f in zip(prices, here)]
+        if all(inside for _, (inside, _) in priced) != leaving:
+            states = []
+            while x is not None:
+                states.append(tuple(tuple(decode(f)) for f in reversed(faced(x))))
+                x = parent[x]
             return EscapeResult(
                 n=n,
                 convention=start,
                 rule=rule,
                 cost=d,
                 normalized=d / n,
-                witness=Path(tuple(reversed(states))),
+                witness=Path(tuple(s if two_pop else s[0] for s in reversed(states))),
                 provenance="oracle",
             )
         if len(settled) > guardrail:
@@ -168,23 +173,19 @@ def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
                 f"search expanded more than {guardrail} states; "
                 "raise the guardrail to proceed"
             )
-        for side, ((_, costs), (_, counts, _)) in enumerate(zip(priced, here)):
-            for i in range(k):
-                if counts[i] < 1:
+        # A population's own counts are the counts the other one faces.
+        for (_, (_, costs)), (counts, _), moves in zip(priced, priced[::-1], steps):
+            for i, (c, row, shift) in enumerate(zip(counts, costs, moves)):
+                if c < 1:
                     continue
-                for j, w in enumerate(costs[i]):
+                for j, w in enumerate(row):
                     if j == i or w == math.inf:
                         continue
-                    c = list(counts)
-                    c[i] -= 1
-                    c[j] += 1
-                    y = tuple(c)
-                    if two_pop:
-                        y = (y, x[1]) if side == 0 else (x[0], y)
+                    y = x + shift[j]
                     nd = d + w
                     if nd < dist.get(y, math.inf):
                         if y not in dist:
-                            discover(y)
+                            found.append(y)
                         dist[y] = nd
                         parent[y] = x
                         heapq.heappush(heap, (nd, counter, y))
@@ -256,6 +257,7 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
     ``ONE_POP_SEARCH_CAP``, whose witness would not fit in memory.
     """
     check_convention(game, mbar)
+    check_population(n)
     if n > ONE_POP_SEARCH_CAP:
         raise ConditionError(f"population size n={n} exceeds the reduced "
                              f"search's cap of {ONE_POP_SEARCH_CAP}")

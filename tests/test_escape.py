@@ -27,6 +27,7 @@ from ldl import (
     mixed_equilibrium,
     ndg_build,
     pairwise_escape_term,
+    transition_cost_bruteforce,
 )
 from ldl.chain import (
     ONE_POP_SEARCH_CAP,
@@ -43,6 +44,7 @@ from ldl.paths import run_cost_closed_form
 from gamegen import (
     DECIMAL_TIE,
     TECH,
+    TECH_UNEVEN,
     TWO_POP_2X2,
     TWO_STRATEGY,
     random_condition_a_games,
@@ -166,6 +168,15 @@ NO_BANDWAGON = OnePopGame([[7, 4, -6], [6, 10, -5], [-2, 6, 4]])
 def test_reduced_refuses_a_witness_too_large_to_build():
     with pytest.raises(ConditionError, match="cap"):
         exit_reduced(TECH, 10**6 + 1, 0)
+
+
+@pytest.mark.parametrize("n", ["5", True])
+@pytest.mark.parametrize("solve", [exit_bruteforce, exit_reduced])
+def test_solvers_refuse_a_population_that_is_not_an_integer(solve, n):
+    # "5" once reached the reduced search's cap test as a raw TypeError, and
+    # True once passed as an integer, giving witnesses of bool counts.
+    with pytest.raises(ConditionError, match="must be an integer"):
+        solve(TECH, n, 0)
 
 
 def test_reduced_refuses_a_game_where_two_targets_win():
@@ -560,3 +571,45 @@ def test_price_basin_flags_compose_to_the_two_pop_basin():
             for b, b_faced_by_alpha in zip(faced, alpha):
                 assert in_basin(NDG_L4, (a, b), target) == \
                     (b_faced_by_alpha and a_faced_by_beta)
+
+
+# The search keys a state by its counts in radix n + 1.  These keys pass
+# 2**63, where fixed-width integers would wrap: up to 10**42 at NDG L = 22
+# (k = 21) and n = 9, and up to 8**25 for a k = 25 game at n = 7.
+NDG_L22 = ndg_build(Frontier(1, 3, 0.5), 22)
+
+
+@pytest.mark.parametrize("m, cost, states", [(0, 0.10933484184272359, 6),
+                                             (10, 0.2961622685097488, 10)])
+def test_search_keys_wider_than_64_bits_two_pop(m, cost, states):
+    args = (NDG_L22, 9, m, m, True, CostRule.LOGIT, None)
+    res = _least_cost_search(*args)
+    assert (res.cost, res.witness.states) == reference_least_cost_search(*args)
+    assert res.cost == cost and len(res.witness.states) == states
+
+
+@pytest.mark.parametrize("n", [7, np.int64(7)])
+def test_search_keys_wider_than_64_bits_one_pop(n):
+    # A numpy n must not carry its fixed width into the keys.
+    game = OnePopGame(10 * np.eye(25) + 1)
+    res = exit_bruteforce(game, n, 0, validate=False)
+    want = reference_least_cost_search(game, 7, 0, 0, True, CostRule.LOGIT, None)
+    assert (res.cost, res.witness.states) == want
+    assert all(type(c) is int for state in res.witness.states for c in state)
+
+
+def test_oracle_witness_states_are_tuples_of_python_ints():
+    # Public states are tuples of Python ints; a numpy integer would leak
+    # into what callers print (its repr is np.int64(3) under numpy 2).
+    results = [exit_bruteforce(TECH, 30, m, rule)
+               for m in range(3) for rule in (CostRule.LOGIT, CostRule.UNIFORM)]
+    results += [transition_cost_bruteforce(TECH_UNEVEN, 20, 0, 1),
+                exit_bruteforce(NDG_L4, 6, 0),
+                exit_bruteforce(TWO_POP_2X2, 9, 1, CostRule.INTENTIONAL),
+                _least_cost_search(NDG_L22, 9, 0, 0, True, CostRule.LOGIT, None)]
+    for res in results:
+        for state in res.witness.states:
+            sides = state if isinstance(state[0], tuple) else (state,)
+            assert type(state) is tuple
+            assert all(type(side) is tuple for side in sides)
+            assert all(type(c) is int for side in sides for c in side)
