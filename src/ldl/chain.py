@@ -107,18 +107,19 @@ def move_between(x: State, y: State) -> Move:
     return Move(src[0], dst[0])
 
 
-def check_population(n: int) -> None:
-    """Refuse a population size that is a bool, not an integer, or below 1."""
+def check_population(n: int) -> int:
+    """Refuse a bool, a non-integer, or below 1; return n as a Python int."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ConditionError(f"population size n={n!r} must be an integer")
     if n < 1:
         raise ConditionError(f"population size n={n} must be at least 1")
+    return int(n)
 
 
 def convention_state(game: Game, n: int, m: int) -> State:
     """The monomorphic state where every agent plays ``m``."""
     check_convention(game, m)
-    check_population(n)
+    n = check_population(n)
     e = tuple(n if i == m else 0 for i in range(game.k))
     if isinstance(game, TwoPopGame):
         return (e, e)
@@ -127,6 +128,16 @@ def convention_state(game: Game, n: int, m: int) -> State:
 
 # ---------------------------------------------------------------------------
 # Payoffs
+
+
+def faced_products(game: Game, pop: Optional[str], counts: np.ndarray) -> np.ndarray:
+    """Unnormalized payoffs of ``pop``'s revisers facing each float row of
+    ``counts``, stacked to round like ``A @ c`` (``counts @ A.T`` moves ties)."""
+    if pop is None:
+        matrix = game.payoffs
+    else:
+        matrix = game.alpha if pop == "alpha" else game.beta.T
+    return np.matmul(matrix[None], counts[:, :, None])[:, :, 0]
 
 
 def payoff_vector(game: OnePopGame, counts: Sequence[int]) -> np.ndarray:
@@ -188,7 +199,7 @@ def in_basin(game: Game, state: State, m: int) -> bool:
 def basin(game: OnePopGame, n: int, m: int,
           guardrail: int = ONE_POP_SEARCH_CAP) -> frozenset:
     """All states of the size-n simplex where ``m`` is a weak best reply."""
-    check_population(n)
+    n = check_population(n)
     total = num_states(n, game.k)
     if total > guardrail:
         raise GuardrailExceeded(
@@ -266,14 +277,14 @@ def cost_vector(game: Game, rule: CostRule, pay: np.ndarray, src: int,
 
 
 def _choice_probabilities(costs: np.ndarray, beta: float) -> np.ndarray:
-    """Softmax of -beta * cost, stable for large beta; inf costs get weight 0."""
+    """Row-wise softmax of -beta * cost, stable for large beta; inf costs get
+    weight 0, masked before beta multiplies so beta = 0 makes no NaN."""
     finite = np.isfinite(costs)
-    if not finite.any():
+    if not finite.any(axis=-1).all():
         raise ConditionError("no permissible choice at this state")
-    shifted = np.where(finite, costs - costs[finite].min(), np.inf)
-    w = np.zeros_like(costs)
-    w[finite] = np.exp(-beta * shifted[finite])
-    return w / w.sum()
+    low = np.where(finite, costs, np.inf).min(axis=-1, keepdims=True)
+    w = np.where(finite, np.exp(-beta * np.where(finite, costs - low, 0.0)), 0.0)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _check_beta(beta: float) -> None:
@@ -368,9 +379,10 @@ def transition_matrix(
     states[a] to states[b]; rows sum to one.  With ``banded``, P is the
     N x (2w + 1) band ``P[a, b - a + w]``, w the largest rank shift of one
     move: n + 1 for one population with three strategies, that times the
-    side's state count for two populations.
+    side's state count for two populations.  Each population's choice
+    probabilities are priced in one stacked pass over its side's states.
     """
-    check_population(n)
+    n = check_population(n)
     _check_beta(beta)
     two_pop = isinstance(game, TwoPopGame)
     k = game.k
@@ -383,28 +395,24 @@ def transition_matrix(
     counts = np.array(side_states)
     a = np.arange(size)
     # Per population: its side index in each state, the rank stride of that
-    # index, the index of the side whose counts its revisers face, and how
-    # the payoffs follow from those counts.
+    # index, and the index of the side whose counts its revisers face.
     if two_pop:
         states = [(x, y) for x in side_states for y in side_states]
-        pops = (("alpha", a // M, M, a % M, payoff_vector_alpha),
-                ("beta", a % M, 1, a // M, payoff_vector_beta))
+        pops = (("alpha", a // M, M, a % M), ("beta", a % M, 1, a // M))
         share = 0.5 * counts / n
     else:
         states = side_states
-        pops = ((None, a, 1, a, payoff_vector),)
+        pops = ((None, a, 1, a),)
         share = counts / n
     unit = np.eye(k, dtype=int)
     stay = np.zeros(size)
     rows, cols, vals = [], [], []
-    for pop, mine, stride, faced, payoffs in pops:
-        # only the better-reply rule looks at the reviser's own strategy
-        own = range(k) if rule is CostRule.BETTER_REPLY else range(1)
-        q = np.array([
-            [_choice_probabilities(cost_vector(game, rule, pay, i, pop), beta)
-             for i in own]
-            for pay in (payoffs(game, c) for c in counts)
-        ])
+    # only the better-reply rule looks at the reviser's own strategy
+    own = range(k) if rule is CostRule.BETTER_REPLY else range(1)
+    for pop, mine, stride, faced in pops:
+        pay = faced_products(game, pop, counts.astype(float)) / n
+        q = np.stack([_choice_probabilities(cost_vector(game, rule, pay, i, pop), beta)
+                      for i in own], axis=1)
         q = np.broadcast_to(q, (M, k, k))  # q[c, i, j]: a reviser playing i picks j
         for i in range(k):  # source, then target: ``stay`` sums as a per-move loop
             ok = counts[mine, i] > 0

@@ -22,8 +22,9 @@ from .chain import (
     TWO_POP_SEARCH_CAP,
     CostRule,
     check_population,
-    cost_vector,
     convention_state,
+    cost_vector,
+    faced_products,
 )
 from .errors import (
     ConditionError,
@@ -76,18 +77,10 @@ def _price(game, rule: CostRule, target: int, pop: Optional[str],
 
     ``inside`` says that ``target`` is a best reply for them, and
     ``rows[i][j]`` is the cost of a reviser playing ``i`` choosing ``j``;
-    only the better-reply rule looks at ``i``.  The products are stacked
-    matrix-vector products, which round exactly like the single-state
-    ``A @ c`` that ``in_basin`` and ``payoff_vector`` compute.  The matrix
-    product ``C @ A.T`` sums in another order and moves ties on decimal
-    payoffs, so it is not used.
+    only the better-reply rule looks at ``i``.
     """
-    if pop is None:
-        matrix = game.payoffs
-    else:
-        matrix = game.alpha if pop == "alpha" else game.beta.T
     counts = np.array(faced, dtype=float)
-    prod = np.matmul(matrix[None], counts[:, :, None])[:, :, 0]
+    prod = faced_products(game, pop, counts)
     inside = (prod[:, target] >= prod.max(axis=1)).tolist()
     pay = prod / counts.sum(axis=1, keepdims=True)
     if rule is CostRule.BETTER_REPLY:
@@ -257,7 +250,7 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
     ``ONE_POP_SEARCH_CAP``, whose witness would not fit in memory.
     """
     check_convention(game, mbar)
-    check_population(n)
+    n = check_population(n)
     if n > ONE_POP_SEARCH_CAP:
         raise ConditionError(f"population size n={n} exceeds the reduced "
                              f"search's cap of {ONE_POP_SEARCH_CAP}")

@@ -31,6 +31,7 @@ from ldl import (
     transition_probability,
 )
 from ldl.chain import (
+    _choice_probabilities,
     comp_rank,
     cost_vector,
     enumerate_states,
@@ -38,11 +39,14 @@ from ldl.chain import (
     num_states,
     payoff_vector,
     payoff_vector_alpha,
+    payoff_vector_beta,
 )
 from ldl.errors import AdjacencyError
 from gamegen import (
+    DECIMAL_TIE,
     TECH,
     TECH_UNEVEN,
+    TWO_POP_2X2,
     TWO_STRATEGY,
     random_basin_states,
     random_condition_a_games,
@@ -291,6 +295,92 @@ def test_kernel_equals_per_move_oracle_two_pop(beta):
                 assert np.array_equal(P, want)
 
 
+def _reference_softmax(costs, beta):
+    """The kernel's softmax as it was, one 1-D cost row at a time."""
+    finite = np.isfinite(costs)
+    if not finite.any():
+        raise ConditionError("no permissible choice at this state")
+    shifted = np.where(finite, costs - costs[finite].min(), np.inf)
+    w = np.zeros_like(costs)
+    w[finite] = np.exp(-beta * shifted[finite])
+    return w / w.sum()
+
+
+def _reference_band(game, n, beta, rule):
+    """The banded kernel built state by state and move by move, with its
+    own softmax; ``stay`` sums the moves in the library's order."""
+    if isinstance(game, TwoPopGame):
+        side = list(enumerate_states(n, game.k))
+        states = [(a, b) for a in side for b in side]
+    else:
+        states = list(enumerate_states(n, game.k))
+    index = {s: a for a, s in enumerate(states)}
+    entries, stay = [], []
+    for a, s in enumerate(states):
+        acc = 0.0
+        for mv in _moves_from(game, s):
+            if mv.pop is None:
+                counts, pay, share = s, payoff_vector(game, s), 1.0
+            elif mv.pop == "alpha":
+                counts, pay, share = s[0], payoff_vector_alpha(game, s[1]), 0.5
+            else:
+                counts, pay, share = s[1], payoff_vector_beta(game, s[0]), 0.5
+            q = _reference_softmax(cost_vector(game, rule, pay, mv.src, mv.pop), beta)
+            p = share * counts[mv.src] / n * q[mv.dst]
+            entries.append((a, index[apply_move(s, mv)], p))
+            acc += p
+        stay.append(1.0 - acc)
+    w = max(abs(b - a) for a, b, _ in entries)
+    band = np.zeros((len(states), 2 * w + 1))
+    for a, b, p in entries:
+        band[a, b - a + w] = p
+    band[:, w] = stay
+    return states, band
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 9.5, 300.0])
+def test_banded_kernel_equals_the_reference_band(beta):
+    one_pop = [TECH, TECH_UNEVEN, DECIMAL_TIE] + random_condition_a_games(1, seed=5, k=4)
+    cases = [(g, n, rule) for g in one_pop for n in (1, 6)
+             for rule in (CostRule.LOGIT, CostRule.UNIFORM, CostRule.BETTER_REPLY)]
+    cases += [(g, n, rule) for g in (ndg_build(Frontier(1, 3, 0.5), 4), TWO_POP_2X2)
+              for n in (1, 4) for rule in CostRule]
+    for game, n, rule in cases:
+        states, band = transition_matrix(game, n, beta, rule, banded=True)
+        want_states, want = _reference_band(game, n, beta, rule)
+        assert states == want_states
+        assert np.array_equal(band, want)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 9.5, 300.0])
+def test_stacked_softmax_is_row_by_row(beta):
+    ndg = ndg_build(Frontier(1, 3, 0.5), 6)
+    wide = random_condition_a_games(1, seed=7, k=9)[0]
+    stacks = [cost_vector(ndg, CostRule.INTENTIONAL,
+                          np.array([payoff_vector_alpha(ndg, c)
+                                    for c in enumerate_states(9, ndg.k)]), 0, "alpha"),
+              cost_vector(wide, CostRule.LOGIT,
+                          np.array([payoff_vector(wide, c)
+                                    for c in enumerate_states(3, wide.k)]), 0, None)]
+    # the rules' rows all have a zero cost; these are shifted row by row
+    rng = np.random.default_rng(3)
+    shifted = rng.uniform(0.0, 2.0, (30, 4)) + rng.uniform(0.0, 5.0, (30, 1))
+    shifted[rng.uniform(size=(30, 4)) < 0.3] = np.inf
+    shifted[:, 0] = 1.5
+    stacks.append(shifted)
+    assert np.isinf(stacks[0]).any(axis=1).mean() > 0.5
+    for costs in stacks:
+        stacked = _choice_probabilities(costs, beta)
+        rows = np.array([_reference_softmax(row, beta) for row in costs])
+        assert stacked.tobytes() == rows.tobytes()
+
+
+def test_stacked_softmax_refuses_a_row_without_a_choice():
+    costs = np.array([[0.0, 1.0, np.inf], [np.inf, np.inf, np.inf]])
+    with pytest.raises(ConditionError, match="no permissible choice"):
+        _choice_probabilities(costs, 1.0)
+
+
 def test_banded_kernel_holds_the_dense_one():
     for game, n in ((TECH, 9), (TWO_POP_KERNELS[0], 3)):
         _, P = transition_matrix(game, n, 1.0)
@@ -324,6 +414,21 @@ def test_population_size_must_be_an_integer(n):
             call()
     assert convention_state(TECH, np.int64(3), 0) == (3, 0, 0)
     assert exit_bruteforce(TECH, np.int64(3), 0).cost == exit_bruteforce(TECH, 3, 0).cost
+
+
+def test_numpy_population_size_gives_python_int_states():
+    n = np.int64(3)
+    ndg = ndg_build(Frontier(1, 3, 0.5), 4)
+    reduced = exit_reduced(TECH, n, 0)
+    found = [[convention_state(TECH, n, 0)], [convention_state(ndg, n, 0)],
+             basin(TECH, n, 0), reduced.witness.states,
+             transition_matrix(TECH, n, 1.0)[0], transition_matrix(ndg, n, 1.0)[0],
+             invariant_measure(TECH, n, 1.0)[0], invariant_measure(ndg, n, 1.0)[0]]
+    assert type(reduced.n) is int
+    for states in found:
+        for state in states:
+            sides = state if isinstance(state[0], tuple) else (state,)
+            assert all(type(c) is int for side in sides for c in side), state
 
 
 def test_stacked_cost_vector_is_row_by_row():
