@@ -99,21 +99,24 @@ class BargainingSolutions:
         return "unordered"
 
 
+# The defining functions of the Nash, intentional and egalitarian splits.
+_GAPS = (lambda f, x: f(x) / x + f.derivative(x),
+         lambda f, x: (f(x) / x) ** 2 + f.derivative(x),
+         lambda f, x: f(x) - x)
+
+
+def _split(frontier: Frontier, gap) -> float:
+    s = frontier.s_bar
+    return _bisect(lambda x: gap(frontier, x), s * 1e-9, s * (1 - 1e-12))
+
+
 def solve_solutions(frontier: Frontier) -> BargainingSolutions:
     """Roots of f/s = -f', (f/s)^2 = -f', and f(s) = s by bracketed bisection.
 
     Each defining function is strictly monotone on (0, s_bar), so the roots
     are unique; residuals are held below 1e-10.
     """
-    s = frontier.s_bar
-    lo = s * 1e-9
-    hi = s * (1 - 1e-12)
-    s_nb = _bisect(lambda x: frontier(x) / x + frontier.derivative(x), lo, hi)
-    s_i = _bisect(
-        lambda x: (frontier(x) / x) ** 2 + frontier.derivative(x), lo, hi
-    )
-    s_e = _bisect(lambda x: frontier(x) - x, lo, hi)
-    return BargainingSolutions(s_nb, s_i, s_e)
+    return BargainingSolutions(*(_split(frontier, gap) for gap in _GAPS))
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +177,24 @@ class CrossingPoints:
     mu_intentional: Optional[float]  # r2 = l1
 
 
-def crossings(frontier: Frontier, delta: float) -> CrossingPoints:
-    L = _grid_size(frontier, delta)
+def _crossing(frontier: Frontier, delta: float, L: int, num_idx: int,
+              den_idx: int) -> Optional[float]:
+    """Where two of the ``_neighbour_terms`` balance on 1..L - 2, if they do."""
     lo, hi = 1.0, float(L - 2)
 
-    def cross(num_idx: int, den_idx: int) -> Optional[float]:
-        def gap(mu: float) -> float:
-            vals = _neighbour_terms(frontier, delta, delta * mu)
-            return vals[num_idx] - vals[den_idx]
+    def gap(mu: float) -> float:
+        vals = _neighbour_terms(frontier, delta, delta * mu)
+        return vals[num_idx] - vals[den_idx]
 
-        if hi <= lo or gap(lo) * gap(hi) > 0:
-            return None
-        return _bisect(gap, lo, hi)
+    if hi <= lo or gap(lo) * gap(hi) > 0:
+        return None
+    return _bisect(gap, lo, hi)
 
-    return CrossingPoints(cross(0, 2), cross(1, 3), cross(1, 2))
+
+def crossings(frontier: Frontier, delta: float) -> CrossingPoints:
+    L = _grid_size(frontier, delta)
+    return CrossingPoints(*(_crossing(frontier, delta, L, *pair)
+                            for pair in ((0, 2), (1, 3), (1, 2))))
 
 
 @dataclass(frozen=True)
@@ -210,14 +217,18 @@ class StableDivision:
 
 
 def stable_division(frontier: Frontier, delta: float,
-                    rule: str = "unintentional") -> StableDivision:
+                    rule: str = "unintentional", *,
+                    solutions: Optional[BargainingSolutions] = None
+                    ) -> StableDivision:
     """Division maximizing the escape radius over every demand index.
 
     The per-index radius is the minimum of the neighbor-transition terms (the
     minimum over all alternative demands is attained at a neighbor, by
     monotonicity of the term families).  The argmax is exhaustive; the
     crossing-based candidate is computed as a cross-check and any
-    disagreement beyond one grid cell is surfaced as a warning.
+    disagreement beyond one grid cell is surfaced as a warning.  Only the
+    crossing the rule reads is solved, and the splits that pick it for the
+    unintentional rule come from ``solutions`` when a caller has them.
     """
     if rule not in ("unintentional", "intentional"):
         raise ConditionError("rule must be 'unintentional' or 'intentional'")
@@ -244,14 +255,15 @@ def stable_division(frontier: Frontier, delta: float,
     else:
         x_star = delta * m_star
 
-    cp = crossings(frontier, delta)
-    sol = solve_solutions(frontier)
     if rule == "intentional":
-        candidate = cp.mu_intentional
+        pair = (1, 2)                       # r2 = l1
     else:
-        candidate = (
-            cp.mu_star if sol.s_nash > sol.s_egalitarian else cp.mu_double_star
-        )
+        if solutions is None:
+            nash, egal = (_split(frontier, gap) for gap in _GAPS[::2])
+        else:
+            nash, egal = solutions.s_nash, solutions.s_egalitarian
+        pair = (0, 2) if nash > egal else (1, 3)   # r1 = l1, else r2 = l2
+    candidate = _crossing(frontier, delta, L, *pair)
     agrees = candidate is not None and abs(candidate - m_star) <= 1.0 + NEAR_TIE
     if candidate is not None and not agrees:
         warnings.append(
@@ -299,7 +311,7 @@ def convergence_sweep(frontier: Frontier, deltas: Sequence[float],
     target = sol.s_nash if rule == "unintentional" else sol.s_intentional
     rows = []
     for d in deltas:
-        res = stable_division(frontier, d, rule)
+        res = stable_division(frontier, d, rule, solutions=sol)
         rows.append(
             SweepRow(
                 delta=d,

@@ -107,13 +107,19 @@ def move_between(x: State, y: State) -> Move:
     return Move(src[0], dst[0])
 
 
-def check_population(n: int) -> int:
+def check_population(n: int, what: str = "population size n") -> int:
     """Refuse a bool, a non-integer, or below 1; return n as a Python int."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ConditionError(f"population size n={n!r} must be an integer")
+        raise ConditionError(f"{what}={n!r} must be an integer")
     if n < 1:
-        raise ConditionError(f"population size n={n} must be at least 1")
+        raise ConditionError(f"{what}={n} must be at least 1")
     return int(n)
+
+
+def check_guardrail(guardrail: Optional[int],
+                    default: Optional[int] = None) -> Optional[int]:
+    """``default`` for None, else the cap checked as a population size is."""
+    return default if guardrail is None else check_population(guardrail, "guardrail")
 
 
 def convention_state(game: Game, n: int, m: int) -> State:
@@ -200,6 +206,7 @@ def basin(game: OnePopGame, n: int, m: int,
           guardrail: int = ONE_POP_SEARCH_CAP) -> frozenset:
     """All states of the size-n simplex where ``m`` is a weak best reply."""
     n = check_population(n)
+    guardrail = check_guardrail(guardrail)
     total = num_states(n, game.k)
     if total > guardrail:
         raise GuardrailExceeded(
@@ -371,19 +378,20 @@ def enumerate_states(n: int, k: int) -> Iterator[tuple]:
 
 def transition_matrix(
     game: Game, n: int, beta: float, rule: CostRule = CostRule.LOGIT,
-    guardrail: int = KERNEL_STATE_CAP, *, banded: bool = False,
+    guardrail: Optional[int] = None,
 ) -> tuple[list, np.ndarray]:
     """One-step kernel over the enumerated (colex-ordered) state space.
 
-    Returns (states, P) with P[a, b] the probability of moving from
-    states[a] to states[b]; rows sum to one.  With ``banded``, P is the
-    N x (2w + 1) band ``P[a, b - a + w]``, w the largest rank shift of one
-    move: n + 1 for one population with three strategies, that times the
-    side's state count for two populations.  Each population's choice
+    Returns (states, band), ``band[a, b - a + w]`` the probability of moving
+    from states[a] to states[b] (rows sum to one), w the largest rank shift
+    of one move: n + 1 for one population with three strategies, that times
+    the side's state count for two populations.  At most ``guardrail``
+    states (default ``KERNEL_STATE_CAP``); each population's choice
     probabilities are priced in one stacked pass over its side's states.
     """
     n = check_population(n)
     _check_beta(beta)
+    guardrail = check_guardrail(guardrail, KERNEL_STATE_CAP)
     two_pop = isinstance(game, TwoPopGame)
     k = game.k
     side_states = list(enumerate_states(n, k))
@@ -430,9 +438,4 @@ def transition_matrix(
     band = np.zeros((size, 2 * w + 1))
     band[rows, cols - rows + w] = np.concatenate(vals)
     band[:, w] = 1.0 - stay
-    if banded:
-        return states, band
-    P = np.zeros((size, size))
-    r, d = np.nonzero(band)
-    P[r, r + d - w] = band[r, d]
-    return states, P
+    return states, band

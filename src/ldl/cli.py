@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bargaining, stability
-from .chain import CostRule
+from .chain import CostRule, check_guardrail
 from .errors import ConditionError, GuardrailExceeded, LdlError
 from .escape import (
     exit_bruteforce,
@@ -123,10 +123,10 @@ def _guardrail() -> Optional[int]:
     if not raw:
         return None
     try:
-        return int(raw)
-    except ValueError:
-        raise ConditionError(
-            f"LDL_GUARDRAIL_STATES expects an integer, got {raw!r}") from None
+        return check_guardrail(int(raw))
+    except (ValueError, ConditionError):
+        raise ConditionError("LDL_GUARDRAIL_STATES expects an integer of at "
+                             f"least 1, got {raw!r}") from None
 
 
 def _parse_list(text: str, kind: type, noun: str, option: str) -> list:
@@ -346,7 +346,7 @@ def cmd_stability(args) -> int:
 def cmd_bargain(args) -> int:
     fr = _frontier(args)
     sol = bargaining.solve_solutions(fr)
-    res = bargaining.stable_division(fr, args.delta, args.mode)
+    res = bargaining.stable_division(fr, args.delta, args.mode, solutions=sol)
     sections = [
         Section(
             "solutions",

@@ -21,6 +21,7 @@ from .chain import (
     ONE_POP_SEARCH_CAP,
     TWO_POP_SEARCH_CAP,
     CostRule,
+    check_guardrail,
     check_population,
     convention_state,
     cost_vector,
@@ -70,52 +71,64 @@ class EscapeResult:
 # The least-cost search behind the oracle and the exact transition costs
 
 
-def _price(game, rule: CostRule, target: int, pop: Optional[str],
-           faced: list) -> list:
-    """Basin flag and cost rows, as pairs ``(inside, rows)``, of the revisers
-    of ``pop`` facing each count vector in ``faced``, in one vectorized pass.
-
-    ``inside`` says that ``target`` is a best reply for them, and
-    ``rows[i][j]`` is the cost of a reviser playing ``i`` choosing ``j``;
-    only the better-reply rule looks at ``i``.
-    """
+def _price(game, rule: CostRule, targets, pop: Optional[str], faced: list) -> tuple:
+    """Basin masks (bit p: ``targets[p]`` is a best reply) and move weights,
+    as plain lists, of ``pop``'s revisers facing each of ``faced``, in one
+    vectorized pass.  One population's weights (the faced counts are its
+    own) are a flat row of the moves i -> j != i in canonical order, ``inf``
+    where no agent plays i; two populations' are a cost row per source i,
+    one shared row unless the rule (better reply) reads i."""
+    k = game.k
     counts = np.array(faced, dtype=float)
     prod = faced_products(game, pop, counts)
-    inside = (prod[:, target] >= prod.max(axis=1)).tolist()
+    best = prod[:, list(targets)] >= prod.max(axis=1, keepdims=True)
+    bits = np.array([1 << p for p in range(len(targets))], dtype=object)
+    masks = (best @ bits).tolist()
     pay = prod / counts.sum(axis=1, keepdims=True)
-    if rule is CostRule.BETTER_REPLY:
-        rows = np.stack([cost_vector(game, rule, pay, i, pop)
-                         for i in range(game.k)], axis=1).tolist()
-    else:
-        rows = [[r] * game.k for r in cost_vector(game, rule, pay, 0, pop).tolist()]
-    return list(zip(inside, rows))
+    better = rule is CostRule.BETTER_REPLY
+    costs = np.stack([cost_vector(game, rule, pay, i, pop)
+                      for i in (range(k) if better else range(1))], axis=1)
+    if pop is not None:
+        return masks, costs.tolist() if better else [r * k for r in costs.tolist()]
+    costs = np.where(counts[:, :, None] > 0, costs, np.inf)
+    return masks, costs[:, ~np.eye(k, dtype=bool)].tolist()
 
 
-def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
-                       rule: CostRule, guardrail: Optional[int]) -> EscapeResult:
-    """Least-cost path from convention ``start`` to the first settled state
-    outside (``leaving``) or inside the basin of convention ``target``.
+def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
+                       rule: CostRule, guardrail: Optional[int]) -> list:
+    """Least-cost paths from convention ``start`` to the first settled state
+    outside (``leaving``) or inside the basin of each of ``targets``: one
+    ``EscapeResult`` per target, each what a search for it alone returns,
+    since the settle order does not depend on the targets.
 
     A state is keyed by one int, its counts as digits in radix ``n + 1``
-    (alpha's, then beta's), so a move adds a constant from a k-by-k table
-    per population.  Moves are relaxed in the canonical order (population,
-    source, target) and only strict improvements update a state, so
-    witnesses are deterministic.  A settled state with no prices yet has
-    every side (a population and the key of the counts it faces) found
-    since the last batch decoded and priced in one ``_price`` pass; one
-    population's prices are dropped once its state is expanded.
+    (alpha's, then beta's), so a move adds a constant.  Moves are relaxed
+    in the canonical order (population, source, target) and only strict
+    improvements push, so witnesses are deterministic and each state is
+    expanded once: a popped entry above its state's distance is stale.  A
+    state expanded before its prices has every side (a population and the
+    key of the counts it faces) found since the last batch priced in one
+    ``_price`` pass; one population's prices are dropped once used.  The
+    relax loop needs no test: an ``inf`` weight never relaxes, nor does a
+    two-population self-move i -> i, whose shift is 0.
     """
-    check_convention(game, target)
+    for target in targets:
+        check_convention(game, target)
     convention_state(game, n, start)  # refuses a bad n or start
     two_pop = isinstance(game, TwoPopGame)
-    if guardrail is None:
-        guardrail = TWO_POP_SEARCH_CAP if two_pop else ONE_POP_SEARCH_CAP
+    guardrail = check_guardrail(
+        guardrail, TWO_POP_SEARCH_CAP if two_pop else ONE_POP_SEARCH_CAP)
+    k = game.k
     radix = int(n) + 1  # a numpy n would wrap keys past 2**63
-    powers = [radix ** i for i in range(game.k)]
+    powers = [radix ** i for i in range(k)]
     place = radix * powers[-1]
     pops = ("alpha", "beta") if two_pop else (None,)
     steps = [[[(pj - pi) * place ** side for pj in powers] for pi in powers]
              for side in range(len(pops))]  # the key change of a move i -> j
+    shifts = [steps[0][i][j] for i in range(k) for j in range(k) if j != i]
+    remaining = (1 << len(targets)) - 1  # bit p: targets[p] not yet reached
+    flip = remaining if leaving else 0
+    results = [None] * len(targets)
 
     def faced(x):  # the key of the counts each population's revisers face
         return divmod(x, place) if two_pop else (x,)
@@ -123,66 +136,78 @@ def _least_cost_search(game, n: int, start: int, target: int, leaving: bool,
     def decode(f):  # the counts of one population's key
         return [f // p % radix for p in powers]
 
-    prices = tuple({} for _ in pops)  # faced key -> (counts, (inside, rows))
+    def price():  # every side found since the last batch
+        for pop, known, keys in zip(pops, prices, zip(*map(faced, found))):
+            batch = [f for f in dict.fromkeys(keys) if f not in known]
+            if batch:
+                counts = [decode(f) for f in batch]
+                entries = zip(*_price(game, rule, targets, pop, counts))
+                if two_pop:  # with the sources of the population faced
+                    entries = ((*e, [i for i, c in enumerate(r) if c])
+                               for e, r in zip(entries, counts))
+                known.update(zip(batch, entries))
+        found.clear()
+
+    prices = tuple({} for _ in pops)  # faced key -> (mask, weights[, sources])
     x = (radix - 1) * powers[start] * (1 + place if two_pop else 1)  # all play start
     found = [x]  # states discovered since the last batch
     dist = {x: 0.0}
     parent: dict = {x: None}
     heap = [(0.0, 0, x)]
     counter = 1
-    settled = set()
+    expanded = 0
+    inf = math.inf
     while heap:
         d, _, x = heapq.heappop(heap)
-        if x in settled:
+        if d > dist[x]:
             continue
-        settled.add(x)
-        here = faced(x)
-        if any(f not in known for known, f in zip(prices, here)):
-            for pop, known, keys in zip(pops, prices, zip(*map(faced, found))):
-                batch = [f for f in dict.fromkeys(keys) if f not in known]
-                if batch:
-                    rows = [decode(f) for f in batch]
-                    known.update(zip(batch, zip(rows, _price(game, rule, target,
-                                                              pop, rows))))
-            found.clear()
-        priced = [known[f] if two_pop else known.pop(f)
-                  for known, f in zip(prices, here)]
-        if all(inside for _, (inside, _) in priced) != leaving:
-            states = []
-            while x is not None:
-                states.append(tuple(tuple(decode(f)) for f in reversed(faced(x))))
-                x = parent[x]
-            return EscapeResult(
-                n=n,
-                convention=start,
-                rule=rule,
-                cost=d,
-                normalized=d / n,
-                witness=Path(tuple(s if two_pop else s[0] for s in reversed(states))),
-                provenance="oracle",
-            )
-        if len(settled) > guardrail:
+        expanded += 1
+        if two_pop:
+            fa, fb = divmod(x, place)
+            alpha, beta = prices[0].get(fa), prices[1].get(fb)
+            if alpha is None or beta is None:
+                price()
+                alpha, beta = prices[0][fa], prices[1][fb]
+            (mask_a, rows_a, src_b), (mask_b, rows_b, src_a) = alpha, beta
+            mask = mask_a & mask_b
+            # A population's own counts are the counts the other one faces.
+            runs = [(steps[0][i], rows_a[i]) for i in src_a]
+            runs += [(steps[1][i], rows_b[i]) for i in src_b]
+        else:
+            if (entry := prices[0].pop(x, None)) is None:
+                price()
+                entry = prices[0].pop(x)
+            mask, weights = entry
+            runs = ((shifts, weights),)
+        hit = (mask ^ flip) & remaining
+        if hit:
+            states, y = [], x
+            while y is not None:
+                states.append(tuple(tuple(decode(f)) for f in reversed(faced(y))))
+                y = parent[y]
+            res = EscapeResult(n=n, convention=start, rule=rule, cost=d,
+                               normalized=d / n, witness=Path(tuple(
+                                   s if two_pop else s[0] for s in reversed(states))))
+            results = [res if hit >> p & 1 else r for p, r in enumerate(results)]
+            remaining ^= hit
+            if not remaining:
+                return results
+        if expanded > guardrail:
             raise GuardrailExceeded(
                 f"search expanded more than {guardrail} states; "
                 "raise the guardrail to proceed"
             )
-        # A population's own counts are the counts the other one faces.
-        for (_, (_, costs)), (counts, _), moves in zip(priced, priced[::-1], steps):
-            for i, (c, row, shift) in enumerate(zip(counts, costs, moves)):
-                if c < 1:
-                    continue
-                for j, w in enumerate(row):
-                    if j == i or w == math.inf:
-                        continue
-                    y = x + shift[j]
-                    nd = d + w
-                    if nd < dist.get(y, math.inf):
-                        if y not in dist:
-                            found.append(y)
-                        dist[y] = nd
-                        parent[y] = x
-                        heapq.heappush(heap, (nd, counter, y))
-                        counter += 1
+        for moves, weights in runs:
+            for s, w in zip(moves, weights):
+                nd = d + w
+                y = x + s
+                if nd < dist.get(y, inf):
+                    if y not in dist:
+                        found.append(y)
+                    dist[y] = nd
+                    parent[y] = x
+                    heapq.heappush(heap, (nd, counter, y))
+                    counter += 1
     raise LdlError("no terminal state is reachable")
 
 
@@ -235,8 +260,8 @@ def exit_bruteforce(
     _require_strict_convention(game, mbar)
     if validate:
         _require_condition(game, mbar)
-    return _least_cost_search(game, n, mbar, mbar, leaving=True, rule=rule,
-                              guardrail=guardrail)
+    return _least_cost_search(game, n, mbar, (mbar,), leaving=True, rule=rule,
+                              guardrail=guardrail)[0]
 
 
 def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:

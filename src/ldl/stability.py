@@ -12,7 +12,6 @@ from typing import Optional
 import numpy as np
 
 from .chain import (
-    KERNEL_STATE_CAP,
     CostRule,
     comp_rank,
     convention_state,
@@ -180,23 +179,23 @@ def transition_cost_bruteforce(
     """
     if i == j:
         raise ConditionError("source and destination conventions must differ")
-    return _least_cost_search(game, n, i, j, leaving=False, rule=rule,
-                              guardrail=guardrail)
+    return _least_cost_search(game, n, i, (j,), leaving=False, rule=rule,
+                              guardrail=guardrail)[0]
 
 
 def transition_cost_matrix(
     game, n: int, rule: CostRule = CostRule.LOGIT,
     guardrail: Optional[int] = None,
 ) -> np.ndarray:
-    """Normalized exact transition costs for every ordered convention pair."""
+    """Normalized exact transition costs for every ordered convention pair,
+    each ``transition_cost_bruteforce``'s, from one search per source."""
     k = game.k
     out = np.full((k, k), np.nan)
     for i in range(k):
-        for j in range(k):
-            if i != j:
-                out[i, j] = transition_cost_bruteforce(
-                    game, n, i, j, rule, guardrail
-                ).normalized
+        others = [j for j in range(k) if j != i]
+        found = _least_cost_search(game, n, i, others, leaving=False, rule=rule,
+                                   guardrail=guardrail)
+        out[i, others] = [res.normalized for res in found]
     return out
 
 
@@ -380,9 +379,7 @@ def invariant_measure(
     b = n + 1 for one population with three strategies.  The law is unique
     for finite beta; an ``LdlError`` reports transition weights underflowing.
     """
-    if guardrail is None:
-        guardrail = KERNEL_STATE_CAP
-    states, band = transition_matrix(game, n, beta, rule, guardrail, banded=True)
+    states, band = transition_matrix(game, n, beta, rule, guardrail)
     return states, _gth_stationary(band)
 
 

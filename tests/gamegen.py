@@ -1,11 +1,11 @@
-"""Shared test games and seeded generators."""
+"""Shared test games, seeded generators, and the dense kernel."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ldl import OnePopGame, TwoPopGame, in_basin, tech_game, validate_one_pop
-from ldl.chain import enumerate_states
+from ldl.chain import enumerate_states, transition_matrix
 
 TWO_STRATEGY = OnePopGame([[2, 0], [0, 1]])
 TECH = tech_game(16, 16, 16, 1)
@@ -78,3 +78,14 @@ def random_basin_states(game: OnePopGame, n: int, mbar: int, count: int,
         raise RuntimeError("no admissible basin states for this configuration")
     rng = np.random.default_rng(seed)
     return [pool[r] for r in rng.integers(0, len(pool), size=count)]
+
+
+def dense_kernel(*args, **kwargs) -> tuple[list, np.ndarray]:
+    """``transition_matrix``'s states and its band spread out to the N x N
+    kernel, P[a, b] = band[a, b - a + w]."""
+    states, band = transition_matrix(*args, **kwargs)
+    w = band.shape[1] // 2
+    P = np.zeros((len(states), len(states)))
+    rows, diag = np.nonzero(band)
+    P[rows, rows + diag - w] = band[rows, diag]
+    return states, P

@@ -253,6 +253,35 @@ def test_stable_division_matches_per_cell_reference(L, rule):
         assert res.per_m_binding == bindings
 
 
+@pytest.mark.parametrize("rule", ["unintentional", "intentional"])
+def test_stable_division_reads_one_crossing(rule):
+    # The candidate is the crossing the rule picks out of all three, and
+    # roots passed in give the same division as roots solved inside.
+    for fr in (PANEL_A, PANEL_B, *seeded_frontiers(6, seed=77)):
+        sol = solve_solutions(fr)
+        for L in (3, 7, 300):
+            delta = fr.s_bar / L
+            cp = crossings(fr, delta)
+            if rule == "intentional":
+                want = cp.mu_intentional
+            else:
+                want = cp.mu_star if sol.s_nash > sol.s_egalitarian else cp.mu_double_star
+            res = stable_division(fr, delta, rule)
+            assert res.crossing_candidate == want
+            assert stable_division(fr, delta, rule, solutions=sol) == res
+
+
+def test_sweep_rows_are_the_stable_divisions():
+    for rule in ("unintentional", "intentional"):
+        for fr in (PANEL_A, PANEL_B):
+            deltas = [fr.s_bar / L for L in (10, 20, 100)]
+            for row, d in zip(convergence_sweep(fr, deltas, rule), deltas):
+                res = stable_division(fr, d, rule)
+                assert (row.m_star, row.x_star, row.binding_term) == \
+                    (res.m_star, res.x_star, res.binding_term)
+                assert row.warning == "; ".join(res.warnings)
+
+
 def test_discrete_orderings_match_case_split():
     for fr in (PANEL_A, PANEL_B):
         sol = solve_solutions(fr)

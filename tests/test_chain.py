@@ -48,6 +48,7 @@ from gamegen import (
     TECH_UNEVEN,
     TWO_POP_2X2,
     TWO_STRATEGY,
+    dense_kernel,
     random_basin_states,
     random_condition_a_games,
     random_decimal_games,
@@ -211,7 +212,7 @@ def test_transition_probabilities_concentrate_at_high_beta():
 
 def test_transition_rows_sum_to_one():
     for beta in (0.0, 1.0, 10.0):
-        _, P = transition_matrix(TECH, 5, beta)
+        _, P = dense_kernel(TECH, 5, beta)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(P >= 0)
 
@@ -219,14 +220,14 @@ def test_transition_rows_sum_to_one():
 def test_transition_rows_sum_to_one_two_pop():
     g = ndg_build(Frontier(1, 3, 0.5), 3)
     for beta in (0.0, 1.0, 10.0):
-        _, P = transition_matrix(g, 3, beta)
+        _, P = dense_kernel(g, 3, beta)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_transition_rows_sum_to_one_intentional_kernel():
     g = ndg_build(Frontier(1, 3, 0.5), 4)
     for beta in (0.0, 1.0, 10.0):
-        _, P = transition_matrix(g, 3, beta, rule=CostRule.INTENTIONAL)
+        _, P = dense_kernel(g, 3, beta, rule=CostRule.INTENTIONAL)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(P >= 0)
 
@@ -278,7 +279,7 @@ def test_kernel_equals_per_move_oracle_one_pop(beta):
     for game in ONE_POP_KERNELS:
         for rule in (CostRule.LOGIT, CostRule.UNIFORM, CostRule.BETTER_REPLY):
             for n in (1, 7):
-                states, P = transition_matrix(game, n, beta, rule)
+                states, P = dense_kernel(game, n, beta, rule)
                 want_states, want = _per_move_kernel(game, n, beta, rule)
                 assert states == want_states
                 assert np.array_equal(P, want)
@@ -289,7 +290,7 @@ def test_kernel_equals_per_move_oracle_two_pop(beta):
     for game in TWO_POP_KERNELS:
         for rule in (CostRule.LOGIT, CostRule.INTENTIONAL):
             for n in (1, 4):
-                states, P = transition_matrix(game, n, beta, rule)
+                states, P = dense_kernel(game, n, beta, rule)
                 want_states, want = _per_move_kernel(game, n, beta, rule)
                 assert states == want_states
                 assert np.array_equal(P, want)
@@ -346,7 +347,7 @@ def test_banded_kernel_equals_the_reference_band(beta):
     cases += [(g, n, rule) for g in (ndg_build(Frontier(1, 3, 0.5), 4), TWO_POP_2X2)
               for n in (1, 4) for rule in CostRule]
     for game, n, rule in cases:
-        states, band = transition_matrix(game, n, beta, rule, banded=True)
+        states, band = transition_matrix(game, n, beta, rule)
         want_states, want = _reference_band(game, n, beta, rule)
         assert states == want_states
         assert np.array_equal(band, want)
@@ -383,8 +384,8 @@ def test_stacked_softmax_refuses_a_row_without_a_choice():
 
 def test_banded_kernel_holds_the_dense_one():
     for game, n in ((TECH, 9), (TWO_POP_KERNELS[0], 3)):
-        _, P = transition_matrix(game, n, 1.0)
-        _, band = transition_matrix(game, n, 1.0, banded=True)
+        _, P = dense_kernel(game, n, 1.0)
+        _, band = transition_matrix(game, n, 1.0)
         w = (band.shape[1] - 1) // 2
         rows, cols = np.nonzero(P)
         assert np.abs(cols - rows).max() == w
@@ -398,6 +399,18 @@ def test_kernel_validates_n_and_beta():
     for beta in (-1.0, math.inf, math.nan):
         with pytest.raises(ConditionError):
             transition_matrix(TECH, 3, beta)
+
+
+@pytest.mark.parametrize("guardrail", [math.nan, "10", True, 0, -5, 100.0])
+def test_kernel_guardrail_must_be_a_positive_integer(guardrail):
+    # "10" once raised a raw TypeError and True acted as a cap of 1
+    calls = (lambda: transition_matrix(TECH, 3, 1.0, guardrail=guardrail),
+             lambda: invariant_measure(TECH, 3, 1.0, guardrail=guardrail),
+             lambda: basin(TECH, 3, 0, guardrail=guardrail))
+    for call in calls:
+        with pytest.raises(ConditionError, match="guardrail"):
+            call()
+    assert len(transition_matrix(TECH, 3, 1.0, guardrail=np.int64(10))[0]) == 10
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0])

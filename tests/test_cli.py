@@ -153,6 +153,12 @@ def test_exit_reduced_refuses_a_game_failing_validation(tmp_path, capsys):
     (["bargain", "--frontier", "1,3,0.5", "--delta", "0"], None),
     (["sweep", "--frontier", "1,3,0.5", "--deltas", ","], None),
     (["exit", "GAME", "--convention", "1", "--oracle", "--n", "6"], "abc"),
+    (["exit", "GAME", "--convention", "1", "--oracle", "--n", "6"], "0"),
+    (["exit", "GAME", "--convention", "1", "--oracle", "--n", "6"], "-5"),
+    (["exit", "GAME", "--convention", "1", "--oracle", "--n", "6"], "1.5"),
+    (["stability", "GAME", "--oracle", "--n", "6"], "-5"),
+    (["stability", "GAME", "--invariant", "--n", "5", "--beta", "1",
+      "--convention", "1"], "0"),
 ])
 def test_malformed_numbers_are_refused(tech_path, capsys, monkeypatch, argv, env):
     if env is not None:

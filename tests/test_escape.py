@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -28,6 +29,7 @@ from ldl import (
     ndg_build,
     pairwise_escape_term,
     transition_cost_bruteforce,
+    transition_cost_matrix,
 )
 from ldl.chain import (
     ONE_POP_SEARCH_CAP,
@@ -457,6 +459,12 @@ def reference_least_cost_search(game, n, start, target, leaving, rule,
     raise LdlError("no terminal state is reachable")
 
 
+def least_cost_search(game, n, start, target, leaving, rule, guardrail):
+    """The library's search for one target, called as the reference is."""
+    return _least_cost_search(game, n, start, (target,), leaving, rule,
+                              guardrail)[0]
+
+
 def assert_search_is_reference(game, n, leaving, rule):
     """Every start (and, entering a basin, every other target) agrees with
     the reference: the same cost and witness, or the same refusal."""
@@ -467,9 +475,9 @@ def assert_search_is_reference(game, n, leaving, rule):
                 want = reference_least_cost_search(*args)
             except LdlError as exc:
                 with pytest.raises(type(exc), match=str(exc)):
-                    _least_cost_search(*args)
+                    least_cost_search(*args)
                 continue
-            res = _least_cost_search(*args)
+            res = least_cost_search(*args)
             assert (res.cost, res.witness.states) == want, args[1:]
 
 
@@ -506,21 +514,38 @@ def test_batched_search_keeps_the_decimal_tie(leaving):
     assert_search_is_reference(DECIMAL_TIE, 30, leaving, CostRule.LOGIT)
 
 
-def test_guardrail_counts_the_reference_settled_states():
-    def finishes(search, guardrail):
+def assert_guardrail_counts_the_reference(game, n, start, target, rule, states):
+    """The smallest guardrail the search finishes under is the reference's:
+    both count each expanded state once, whatever its stale heap entries."""
+    args = (game, n, start, target, start == target, rule)
+
+    def finishes(guardrail):
         try:
-            search(TECH, 60, 0, 0, True, CostRule.LOGIT, guardrail)
+            reference_least_cost_search(*args, guardrail)
         except GuardrailExceeded:
             return False
         return True
 
-    lo, hi = 0, 1891  # every state of the n = 60 simplex
+    lo, hi = 1, states  # every state of the space
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if finishes(reference_least_cost_search, mid) else (mid + 1, hi)
-    exit_bruteforce(TECH, 60, 0, guardrail=lo)
+        lo, hi = (lo, mid) if finishes(mid) else (mid + 1, hi)
+    least_cost_search(*args, lo)
     with pytest.raises(GuardrailExceeded):
-        exit_bruteforce(TECH, 60, 0, guardrail=lo - 1)
+        least_cost_search(*args, lo - 1)
+    return lo
+
+
+def test_guardrail_counts_the_reference_settled_states():
+    assert_guardrail_counts_the_reference(TECH, 60, 0, 0, CostRule.LOGIT, 1891)
+
+
+def test_guardrail_counts_the_reference_settled_states_two_pop():
+    # From the top demand into the lowest one's basin: hundreds of the
+    # 45 * 45 states are expanded.
+    lo = assert_guardrail_counts_the_reference(NDG_L4, 8, 2, 0, CostRule.LOGIT,
+                                               45 * 45)
+    assert lo > 600
 
 
 def test_stacked_products_round_like_single_state_products():
@@ -545,32 +570,149 @@ def test_price_matches_per_state_basin_and_costs():
     cases = [(g, None, rule) for g in [DECIMAL_TIE] + random_decimal_games(2, seed=13)
              for rule in (CostRule.LOGIT, CostRule.UNIFORM, CostRule.BETTER_REPLY)]
     cases += [(NDG_L4, pop, rule) for pop in ("alpha", "beta")
-              for rule in (CostRule.LOGIT, CostRule.INTENTIONAL)]
+              for rule in (CostRule.LOGIT, CostRule.INTENTIONAL, CostRule.UNIFORM,
+                           CostRule.BETTER_REPLY)]
     for game, pop, rule in cases:
-        faced = list(enumerate_states(30 if pop is None else 9, game.k))
-        own = range(game.k) if rule is CostRule.BETTER_REPLY else [0] * game.k
-        for target in range(game.k):
-            priced = _price(game, rule, target, pop, faced)
-            for counts, (inside, rows) in zip(faced, priced):
+        k = game.k
+        faced = list(enumerate_states(30 if pop is None else 9, k))
+        own = range(k) if rule is CostRule.BETTER_REPLY else [0] * k
+        for targets in [(t,) for t in range(k)] + [tuple(range(k))[::-1]]:
+            masks, weights = _price(game, rule, targets, pop, faced)
+            assert len(masks) == len(weights) == len(faced)
+            for counts, mask, got in zip(faced, masks, weights):
                 pay = _FACED_PAYOFFS[pop](game, counts)
-                assert rows == [cost_vector(game, rule, pay, i, pop).tolist()
-                                for i in own]
+                rows = [cost_vector(game, rule, pay, i, pop).tolist() for i in own]
                 if pop is None:
-                    assert inside == in_basin(game, counts, target)
+                    # the flat row of moves i -> j != i; inf where c_i = 0
+                    assert got == [rows[i][j] if counts[i] else math.inf
+                                   for i in range(k) for j in range(k) if j != i]
+                    assert mask == sum(in_basin(game, counts, t) << p
+                                       for p, t in enumerate(targets))
+                else:
+                    assert got == rows
+                    if rule is not CostRule.BETTER_REPLY:
+                        assert all(row is got[0] for row in got)  # one shared row
 
 
 def test_price_basin_flags_compose_to_the_two_pop_basin():
     # A two-population state is inside when both sides' revisers are.
     faced = list(enumerate_states(6, NDG_L4.k))
-    for target in range(NDG_L4.k):
-        alpha = [inside for inside, _ in
-                 _price(NDG_L4, CostRule.LOGIT, target, "alpha", faced)]
-        beta = [inside for inside, _ in
-                _price(NDG_L4, CostRule.LOGIT, target, "beta", faced)]
-        for a, a_faced_by_beta in zip(faced, beta):
-            for b, b_faced_by_alpha in zip(faced, alpha):
-                assert in_basin(NDG_L4, (a, b), target) == \
-                    (b_faced_by_alpha and a_faced_by_beta)
+    targets = tuple(range(NDG_L4.k))
+    alpha, _ = _price(NDG_L4, CostRule.LOGIT, targets, "alpha", faced)
+    beta, _ = _price(NDG_L4, CostRule.LOGIT, targets, "beta", faced)
+    for a, a_faced_by_beta in zip(faced, beta):
+        for b, b_faced_by_alpha in zip(faced, alpha):
+            mask = b_faced_by_alpha & a_faced_by_beta
+            for p, target in enumerate(targets):
+                assert in_basin(NDG_L4, (a, b), target) == bool(mask >> p & 1)
+
+
+# One search per source against one reference search per ordered pair
+
+
+def assert_transition_costs_are_reference(game, n, rule, guardrail):
+    """Each source's search gives every pair's reference cost and witness,
+    or the reference's first refusal, and the matrix holds those costs."""
+    refusal = None
+    want = np.full((game.k, game.k), np.nan)
+    for start in range(game.k):
+        others = [j for j in range(game.k) if j != start]
+        expect = []
+        for target in others:
+            try:
+                expect.append(reference_least_cost_search(
+                    game, n, start, target, False, rule, guardrail))
+            except LdlError as exc:
+                expect.append(exc)
+        failed = [e for e in expect if isinstance(e, LdlError)]
+        if failed:
+            refusal = refusal or failed[0]
+            with pytest.raises(type(failed[0]), match=re.escape(str(failed[0]))):
+                _least_cost_search(game, n, start, others, False, rule, guardrail)
+            continue
+        found = _least_cost_search(game, n, start, others, False, rule, guardrail)
+        assert [(r.cost, r.witness.states) for r in found] == expect
+        want[start, others] = [cost / n for cost, _ in expect]
+    if refusal is not None:
+        with pytest.raises(type(refusal), match=re.escape(str(refusal))):
+            transition_cost_matrix(game, n, rule, guardrail)
+    else:
+        got = transition_cost_matrix(game, n, rule, guardrail)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+guardrails = st.one_of(st.none(), st.integers(1, 60))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(make=st.sampled_from((random_condition_a_games, random_decimal_games)),
+       seed=st.integers(0, 2**16), k=st.sampled_from((3, 4)), n=st.integers(1, 14),
+       rule=st.sampled_from((CostRule.LOGIT, CostRule.UNIFORM,
+                             CostRule.BETTER_REPLY)),
+       guardrail=guardrails)
+def test_one_search_per_source_is_the_per_pair_search_one_pop(make, seed, k, n,
+                                                              rule, guardrail):
+    games = make(1, seed=seed, k=k)
+    assume(games)
+    assert_transition_costs_are_reference(games[0], n if k == 3 else n // 2 + 1,
+                                          rule, guardrail)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(game=st.sampled_from((NDG_L4, TWO_POP_2X2)), n=st.integers(1, 6),
+       rule=st.sampled_from((CostRule.LOGIT, CostRule.INTENTIONAL)),
+       guardrail=guardrails)
+def test_one_search_per_source_is_the_per_pair_search_two_pop(game, n, rule,
+                                                              guardrail):
+    assert_transition_costs_are_reference(game, n, rule, guardrail)
+
+
+def test_guardrail_refuses_a_source_when_one_pair_would():
+    # From convention 0 of TECH_UNEVEN the nearer basin is reached first, so
+    # a cap between the two pairs' expansions refuses the source.
+    want = [reference_least_cost_search(TECH_UNEVEN, 20, 0, j, False,
+                                        CostRule.LOGIT, None) for j in (1, 2)]
+    found = _least_cost_search(TECH_UNEVEN, 20, 0, [1, 2], False, CostRule.LOGIT,
+                               None)
+    assert [(r.cost, r.witness.states) for r in found] == want
+    assert want[0][0] != want[1][0]
+    mixed = 0
+    for guardrail in range(1, 231):
+        per_pair = []
+        for j in (1, 2):
+            try:
+                transition_cost_bruteforce(TECH_UNEVEN, 20, 0, j, guardrail=guardrail)
+                per_pair.append(True)
+            except GuardrailExceeded:
+                per_pair.append(False)
+        mixed += any(per_pair) and not all(per_pair)
+        try:
+            _least_cost_search(TECH_UNEVEN, 20, 0, [1, 2], False, CostRule.LOGIT,
+                               guardrail)
+            assert all(per_pair), guardrail
+        except GuardrailExceeded:
+            assert not all(per_pair), guardrail
+    assert mixed > 10
+
+
+@pytest.mark.parametrize("guardrail", [math.nan, math.inf, "10", True, False, 0,
+                                       -5, 2.0, 1.5])
+def test_guardrail_must_be_a_positive_integer(guardrail):
+    # nan once ran uncapped, "10" raised a TypeError, True capped at 1 and
+    # 0 or -5 reported a guardrail exceeded
+    calls = (lambda: exit_bruteforce(TECH, 30, 0, guardrail=guardrail),
+             lambda: transition_cost_bruteforce(TECH, 10, 0, 1, guardrail=guardrail),
+             lambda: transition_cost_matrix(TECH, 10, guardrail=guardrail),
+             lambda: exit_bruteforce(NDG_L4, 3, 0, guardrail=guardrail))
+    for call in calls:
+        with pytest.raises(ConditionError, match="guardrail"):
+            call()
+
+
+def test_guardrail_accepts_a_numpy_integer():
+    want = exit_bruteforce(TECH, 30, 0)
+    got = exit_bruteforce(TECH, 30, 0, guardrail=np.int64(10**6))
+    assert (got.cost, got.witness.states) == (want.cost, want.witness.states)
 
 
 # The search keys a state by its counts in radix n + 1.  These keys pass
@@ -583,7 +725,7 @@ NDG_L22 = ndg_build(Frontier(1, 3, 0.5), 22)
                                              (10, 0.2961622685097488, 10)])
 def test_search_keys_wider_than_64_bits_two_pop(m, cost, states):
     args = (NDG_L22, 9, m, m, True, CostRule.LOGIT, None)
-    res = _least_cost_search(*args)
+    res = least_cost_search(*args)
     assert (res.cost, res.witness.states) == reference_least_cost_search(*args)
     assert res.cost == cost and len(res.witness.states) == states
 
@@ -606,7 +748,7 @@ def test_oracle_witness_states_are_tuples_of_python_ints():
     results += [transition_cost_bruteforce(TECH_UNEVEN, 20, 0, 1),
                 exit_bruteforce(NDG_L4, 6, 0),
                 exit_bruteforce(TWO_POP_2X2, 9, 1, CostRule.INTENTIONAL),
-                _least_cost_search(NDG_L22, 9, 0, 0, True, CostRule.LOGIT, None)]
+                least_cost_search(NDG_L22, 9, 0, 0, True, CostRule.LOGIT, None)]
     for res in results:
         for state in res.witness.states:
             sides = state if isinstance(state[0], tuple) else (state,)

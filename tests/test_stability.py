@@ -36,7 +36,14 @@ from ldl.stability import (
     _tree_cost_edmonds,
     _tree_cost_exhaustive,
 )
-from gamegen import ROUTED, TECH, TECH_UNEVEN, TWO_STRATEGY, random_condition_a_games
+from gamegen import (
+    ROUTED,
+    TECH,
+    TECH_UNEVEN,
+    TWO_STRATEGY,
+    dense_kernel,
+    random_condition_a_games,
+)
 
 NDG = ndg_build(Frontier(1, 3, 0.5), 12)  # delta = 0.25, demands 1..11
 
@@ -251,9 +258,7 @@ def test_maxmin_conclusive_matches_tree_root_seeded_sweep():
 
 def _birth_death_stationary(game, n, beta):
     """Closed-form stationary law for two-strategy chains (detailed balance)."""
-    from ldl.chain import transition_matrix
-
-    states, P = transition_matrix(game, n, beta)
+    states, P = dense_kernel(game, n, beta)
     idx = {s: i for i, s in enumerate(states)}
     pi = np.ones(len(states))
     order = sorted(states, key=lambda s: s[0])
@@ -360,7 +365,7 @@ BANDED_CASES = [(g, 20, f"seeded{i}") for i, g in enumerate(SEEDED)] + [
 @pytest.mark.parametrize("game,n,label", BANDED_CASES,
                          ids=[c[2] for c in BANDED_CASES])
 def test_banded_gth_matches_dense_gth(game, n, label, beta):
-    states, P = transition_matrix(game, n, beta)
+    states, P = dense_kernel(game, n, beta)
     want = _dense_gth(P)
     got_states, got = invariant_measure(game, n, beta)
     assert got_states == states
@@ -373,12 +378,11 @@ def test_banded_gth_matches_dense_gth(game, n, label, beta):
 def test_banded_bandwidths():
     # a move shifts the colex rank by at most n + 1 (k = 3), times the
     # side count 28 of the ndg game's own bandwidth 7 for two populations
-    _, band = transition_matrix(TECH, 30, 1.0, banded=True)
+    _, band = transition_matrix(TECH, 30, 1.0)
     assert band.shape == (496, 2 * 31 + 1)
-    _, band = transition_matrix(ndg_build(Frontier(1, 3, 0.5), 4), 6, 1.0,
-                                banded=True)
+    _, band = transition_matrix(ndg_build(Frontier(1, 3, 0.5), 4), 6, 1.0)
     assert band.shape == (784, 2 * 196 + 1)
-    _, band = transition_matrix(PAIR_2X2, 30, 1.0, banded=True)
+    _, band = transition_matrix(PAIR_2X2, 30, 1.0)
     assert band.shape == (961, 2 * 31 + 1)
 
 
