@@ -28,6 +28,7 @@ from .escape import (
 from .games import NEAR_TIE, TwoPopGame
 
 EXHAUSTIVE_TREE_CAP = 9
+TREE_METHODS = ("auto", "exhaustive", "edmonds")
 BETA_CAP = 64.0
 
 
@@ -302,8 +303,12 @@ def arborescence_root(values: np.ndarray, method: str = "auto") -> ArborescenceR
     """Roots of the cheapest spanning in-trees of a complete cost matrix.
 
     ``method`` is "exhaustive" (refused above 9 vertices), "edmonds", or
-    "auto" (exhaustive up to 6 vertices, contraction beyond).
+    "auto" (exhaustive up to 6 vertices, contraction beyond); any other
+    value is refused.
     """
+    if method not in TREE_METHODS:
+        raise ConditionError(f"unknown tree method {method!r}; "
+                             f"expected one of {', '.join(TREE_METHODS)}")
     values = np.asarray(values, dtype=float)
     k = values.shape[0]
     if method == "auto":
@@ -327,45 +332,67 @@ _UNDERFLOW = ("stationary solve lost conditioning: transition weights "
               "underflow at this noise level")
 
 
-def _gth_stationary(band: np.ndarray) -> np.ndarray:
-    """Stationary distribution by GTH state-censoring elimination over the
-    band ``band[i, j - i + w] = P[i, j]``, in a copy of it.
+def _gth_stationary(band: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Stationary distribution of the kernel ``band[i, j - i + w] = P[i, j]``
+    by GTH state-censoring elimination over its envelope.
 
-    Eliminating from the last state keeps the fill inside the band.
-    Subtraction-free, so it stays accurate on stiff kernels (large beta)
-    where a generic LU solve of pi P = pi loses the tiny couplings.
+    The states are stably sorted by ``dist``, their distance from state 0
+    (which is the only state at distance 0), and the kernel is re-banded
+    in that order.  ``lo[k]`` is the first state coupled to k or to any
+    later state; eliminating states last first, the fill of row and column
+    k never passes it, so eliminating k updates only ``[lo[k], k)``: sum
+    (k - lo[k])^2 work where the band costs N w^2, each rank-1 update
+    written through one buffer.  Subtraction-free, so it stays accurate on
+    stiff kernels (large beta) where a generic LU solve of pi P = pi loses
+    the tiny couplings.  State 0 is left last and anchors the
+    back-substitution.  Returns pi in the band's own order.
     """
-    band = np.array(band, dtype=float)
     size, width = band.shape
-    w = width // 2
+    order = np.argsort(dist, kind="stable")
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(size)
+    rows, diag = np.nonzero(band)
+    r, c = rank[rows], rank[rows + diag - width // 2]
+    vals = band[rows, diag]
+    w = int(np.abs(c - r).max())
+    band = np.zeros((size, 2 * w + 1))
+    band[r, c - r + w] = vals
+    lo = np.arange(size)
+    np.minimum.at(lo, np.maximum(r, c), np.minimum(r, c))
+    lo = np.minimum.accumulate(lo[::-1])[::-1]
     # A[i, j] is band[i, j - i + w]; only entries with |i - j| <= w are read
     step = band.strides[1]
     A = np.lib.stride_tricks.as_strided(
         band.reshape(-1)[w:], shape=(size, size),
         strides=(band.strides[0] - step, step),
     )
+    buf = np.empty(int((np.arange(size) - lo).max()) ** 2)
     depart = np.empty(size)
     tiny = np.finfo(float).tiny
+    lo = lo.tolist()
     for k in range(size - 1, 0, -1):
-        lo = max(k - w, 0)
-        s = A[k, lo:k].sum()
+        a = lo[k]
+        s = A[k, a:k].sum()
         if s <= tiny:
             raise LdlError(_UNDERFLOW)
         depart[k] = s
-        A[k, lo:k] /= s
-        A[lo:k, lo:k] += np.outer(A[lo:k, k], A[k, lo:k])
+        A[k, a:k] /= s
+        m = k - a
+        update = buf[:m * m].reshape(m, m)
+        np.multiply(A[a:k, k, None], A[k, None, a:k], out=update)
+        A[a:k, a:k] += update
     with np.errstate(over="raise", invalid="raise"):
         try:
             x = np.zeros(size)
             x[0] = 1.0
             for k in range(1, size):
-                lo = max(k - w, 0)
-                x[k] = (x[lo:k] @ A[lo:k, k]) / depart[k]
+                a = lo[k]
+                x[k] = (x[a:k] @ A[a:k, k]) / depart[k]
         except FloatingPointError as exc:
             raise LdlError(_UNDERFLOW) from exc
     if not np.all(np.isfinite(x)):
         raise LdlError("stationary solve produced non-finite mass")
-    return x / x.sum()
+    return x[rank] / x.sum()
 
 
 def invariant_measure(
@@ -374,13 +401,21 @@ def invariant_measure(
 ) -> tuple[list, np.ndarray]:
     """Exact stationary distribution of the revision chain.
 
-    Banded GTH at every size: O(N b^2) time and O(N b) memory for N states
-    (at most ``guardrail``, default ``KERNEL_STATE_CAP``) and bandwidth b,
-    b = n + 1 for one population with three strategies.  The law is unique
-    for finite beta; an ``LdlError`` reports transition weights underflowing.
+    GTH elimination over the kernel's envelope at every size, the states
+    taken in order of distance from state 0: the number of agents not
+    playing the last strategy, summed over populations (one population's
+    colex order already is that order).  O(N b) memory for N states (at
+    most ``guardrail``, default ``KERNEL_STATE_CAP``) and bandwidth b in
+    that order.  The work is the envelope's, at most N b^2: about half of
+    it for one population, and a third of the colex band's for the
+    two-population demand game at L = 4, n = 6.  The law is unique for
+    finite beta; an ``LdlError`` reports transition weights underflowing.
+    The masses come back in ``states``' colex order.
     """
     states, band = transition_matrix(game, n, beta, rule, guardrail)
-    return states, _gth_stationary(band)
+    # agents not playing the last strategy, over both sides for two populations
+    last = np.array(states)[..., -1].reshape(len(states), -1)
+    return states, _gth_stationary(band, (n - last).sum(axis=1))
 
 
 def convention_mass(game, n: int, beta: float, m: int,
@@ -409,13 +444,19 @@ def beta_ladder_trace(
 
     Stops as soon as the mass exceeds ``mass_target``, beta passes the cap,
     or the solve loses conditioning; returns the sound (beta, mass) pairs.
+    ``beta0`` must be finite and positive, or doubling never moves it; a
+    refused input raises rather than ending the ladder.
     """
+    if not (math.isfinite(beta0) and beta0 > 0):
+        raise ConditionError(f"beta0 must be finite and positive, got {beta0!r}")
     out = []
     beta = beta0
     while beta <= beta_cap:
         try:
             mass = convention_mass(game, n, beta, m, rule)
-        except LdlError:
+        except (ConditionError, GuardrailExceeded):
+            raise
+        except LdlError:  # the weights underflow at this beta
             break
         out.append((beta, mass))
         if mass > mass_target:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldl import (
     ConditionError,
@@ -40,6 +41,7 @@ from gamegen import (
     ROUTED,
     TECH,
     TECH_UNEVEN,
+    TWO_POP_2X2,
     TWO_STRATEGY,
     dense_kernel,
     random_condition_a_games,
@@ -239,6 +241,13 @@ def test_arborescence_exhaustive_cap():
         arborescence_root(vals, method="exhaustive")
 
 
+def test_arborescence_refuses_unknown_methods():
+    vals = radius_matrix(TWO_STRATEGY).values
+    for method in ("bogus", "Edmonds", ""):
+        with pytest.raises(ConditionError, match="auto, exhaustive, edmonds"):
+            arborescence_root(vals, method=method)
+
+
 def test_maxmin_conclusive_matches_tree_root_seeded_sweep():
     games = random_condition_a_games(50, seed=2025)
     conclusive = 0
@@ -301,6 +310,24 @@ def test_invariant_measure_mass_monotone_in_beta():
     assert all(b > a for a, b in zip(masses, masses[1:]))
 
 
+stationary_games = st.one_of(
+    st.builds(lambda seed, k: random_condition_a_games(1, seed=seed, k=k)[0],
+              st.integers(0, 2**16), st.sampled_from((3, 4))),
+    st.sampled_from((ndg_build(Frontier(1, 3, 0.5), 4), TWO_POP_2X2)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(game=stationary_games, n=st.integers(1, 6),
+       beta=st.sampled_from((0.0, 0.5, 1.0, 4.0)))
+def test_invariant_measure_is_a_stationary_law(game, n, beta):
+    states, pi = invariant_measure(game, n, beta)
+    _, P = dense_kernel(game, n, beta)
+    assert np.all(pi >= 0)
+    assert abs(pi.sum() - 1.0) <= 1e-12
+    assert np.abs(pi @ P - pi).max() <= 1e-12
+
+
 def test_invariant_measure_guardrail():
     with pytest.raises(GuardrailExceeded):
         invariant_measure(TECH, 500, 1.0)
@@ -312,6 +339,19 @@ def test_beta_ladder_reaches_majority_before_cap():
     assert trace[-1][0] <= 64.0
     masses = [m for _, m in trace]
     assert all(b > a for a, b in zip(masses, masses[1:]))
+
+
+def test_beta_ladder_refuses_bad_inputs():
+    # beta0 = 0 never doubles off 0, and a refused rung used to end the
+    # ladder as if the solve had lost conditioning
+    for beta0 in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConditionError, match="beta0"):
+            beta_ladder_trace(TWO_STRATEGY, 4, 0, beta0=beta0, mass_target=0.99)
+    with pytest.raises(ConditionError, match="outside 1..2"):
+        beta_ladder_trace(TWO_STRATEGY, 4, 2)
+    with pytest.raises(GuardrailExceeded):
+        beta_ladder_trace(TECH, 500, 0)
+    assert beta_ladder_trace(TWO_STRATEGY, 4, 0, beta0=1e-3, mass_target=0.99)
 
 
 def test_invariant_argmax_is_stable_convention():
@@ -358,6 +398,8 @@ SEEDED = random_condition_a_games(2, seed=31)
 BANDED_CASES = [(g, 20, f"seeded{i}") for i, g in enumerate(SEEDED)] + [
     (ndg_build(Frontier(1, 3, 0.5), 4), 6, "ndg L=4"),  # bandwidth 196
     (PAIR_2X2, 20, "pair 2x2"),
+    (TECH_UNEVEN, 30, "stiff"),  # at beta 4, 433 of 496 masses are exactly 0
+    (ndg_build(Frontier(1, 3, 0.5), 5), 3, "ndg L=5"),  # four demands a side
 ]
 
 
@@ -369,6 +411,14 @@ def test_banded_gth_matches_dense_gth(game, n, label, beta):
     want = _dense_gth(P)
     got_states, got = invariant_measure(game, n, beta)
     assert got_states == states
+    # the dense reference anchors its back-substitution at state 0, so
+    # the same masses underflow to 0 only if the solver anchors there too
+    assert np.array_equal(got == 0, want == 0)
+    if label == "stiff":
+        assert (want == 0).any() == (beta == 4.0)
+    if isinstance(game, TwoPopGame):  # eliminated out of colex order
+        dist = [sum(n - side[-1] for side in s) for s in states]
+        assert dist != sorted(dist)
     for m in range(game.k):
         x = states.index(convention_state(game, n, m))
         assert abs(got[x] - want[x]) <= 1e-12 * want[x]
