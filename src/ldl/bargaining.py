@@ -15,9 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConditionError
-from .games import NEAR_TIE
-
-RESIDUAL_TOL = 1e-10
+from .games import EQ_TOL, NEAR_TIE
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,7 @@ class Frontier:
         return float(out) if np.ndim(x) == 0 else out
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float,
-            residual_tol: float = RESIDUAL_TOL, max_iter: int = 200) -> float:
+def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -65,7 +62,7 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0:
         raise ConditionError("no sign change on the bracketing interval")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
         if fm == 0.0 or (hi - lo) <= 1e-15 * max(1.0, abs(mid)):
@@ -75,7 +72,7 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float,
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    if abs(fn(mid)) > residual_tol:
+    if abs(fn(mid)) > EQ_TOL:
         raise ConditionError(f"bisection residual {fn(mid):.3e} above tolerance")
     return mid
 
@@ -130,7 +127,7 @@ def _grid_size(frontier: Frontier, delta: float) -> int:
     if not (math.isfinite(delta) and delta > 0):
         raise ConditionError(f"delta must be positive and finite, got {delta}")
     L = frontier.s_bar / delta
-    if abs(L - round(L)) > 1e-9 or round(L) < 3:
+    if abs(L - round(L)) > NEAR_TIE or round(L) < 3:
         raise ConditionError("delta must divide s_bar into at least 3 cells")
     if round(L) > MAX_GRID:
         raise ConditionError(f"grid of {round(L)} cells exceeds the supported "

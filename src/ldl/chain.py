@@ -138,45 +138,28 @@ def convention_state(game: Game, n: int, m: int) -> State:
 
 def faced_products(game: Game, pop: Optional[str], counts: np.ndarray) -> np.ndarray:
     """Unnormalized payoffs of ``pop``'s revisers facing each float row of
-    ``counts``, stacked to round like ``A @ c`` (``counts @ A.T`` moves ties)."""
-    if pop is None:
-        matrix = game.payoffs
-    else:
-        matrix = game.alpha if pop == "alpha" else game.beta.T
-    return np.matmul(matrix[None], counts[:, :, None])[:, :, 0]
+    ``counts``, stacked to round like ``M @ c`` (``counts @ M.T`` moves ties)."""
+    return np.matmul(game.oriented(pop)[None], counts[:, :, None])[:, :, 0]
 
 
-def payoff_vector(game: OnePopGame, counts: Sequence[int]) -> np.ndarray:
-    """Expected payoff of each strategy at the state given by ``counts``."""
+def payoff_vector(game: Game, counts: Sequence[int],
+                  pop: Optional[str] = None) -> np.ndarray:
+    """Expected payoff of each strategy to ``pop``'s revisers facing ``counts``:
+    the state for one population, the other population's counts for two."""
     c = np.asarray(counts, dtype=float)
-    return game.payoffs @ c / c.sum()
+    return game.oriented(pop) @ c / c.sum()
 
 
-def payoff_vector_alpha(game: TwoPopGame, beta_counts: Sequence[int]) -> np.ndarray:
-    c = np.asarray(beta_counts, dtype=float)
-    return game.alpha @ c / c.sum()
-
-
-def payoff_vector_beta(game: TwoPopGame, alpha_counts: Sequence[int]) -> np.ndarray:
-    c = np.asarray(alpha_counts, dtype=float)
-    return c @ game.beta / c.sum()
+def _sides(state: State, pop: Optional[str]) -> tuple:
+    """``pop``'s own counts at ``state`` and the counts its revisers face."""
+    if pop is None:
+        return state, state
+    return (state[0], state[1]) if pop == "alpha" else (state[1], state[0])
 
 
 def payoff(game: Game, i: int, state: State, pop: Optional[str] = None) -> float:
     """Expected payoff to strategy ``i`` at ``state`` (``pop`` for two-pop games)."""
-    if isinstance(game, TwoPopGame):
-        if pop == "alpha":
-            return float(payoff_vector_alpha(game, state[1])[i])
-        if pop == "beta":
-            return float(payoff_vector_beta(game, state[0])[i])
-        raise ConditionError("two-population payoff needs pop='alpha' or 'beta'")
-    return float(payoff_vector(game, state)[i])
-
-
-def _pop_payoffs(game: TwoPopGame, state: State, pop: str) -> np.ndarray:
-    if pop == "alpha":
-        return payoff_vector_alpha(game, state[1])
-    return payoff_vector_beta(game, state[0])
+    return float(_reviser(game, state, pop)[1][i])
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +171,18 @@ def in_basin(game: Game, state: State, m: int) -> bool:
 
     The package's one discrete basin test: the block-path enumeration and
     the public API use it, and the least-cost search applies it to a batch
-    of states' products, rounded alike.  It compares unnormalized
-    payoffs, ``A @ counts`` (for two populations ``alpha @ beta_counts``
-    and ``alpha_counts @ beta``), with the weak ``>=``.  Ties are exact for
-    integer payoffs; with short-decimal payoffs a tie is decided by the
-    float rounding of these sums.
+    of states' products, rounded alike.  It compares each population's
+    unnormalized payoffs, ``M @ faced_counts`` with M its oriented matrix
+    (``A @ counts``; for two populations ``alpha @ beta_counts`` and
+    ``beta.T @ alpha_counts``, bit-equal to ``alpha_counts @ beta``), with
+    the weak ``>=``.  Ties are exact for integer payoffs; with short-decimal
+    payoffs a tie is decided by the float rounding of these sums.
     """
-    if isinstance(game, TwoPopGame):
-        pa = game.alpha @ np.asarray(state[1], dtype=float)
-        pb = np.asarray(state[0], dtype=float) @ game.beta
-        return bool(pa[m] >= pa.max() and pb[m] >= pb.max())
-    pay = game.payoffs @ np.asarray(state, dtype=float)
-    return bool(pay[m] >= pay.max())
+    for pop in game.populations:
+        pay = game.oriented(pop) @ np.asarray(_sides(state, pop)[1], dtype=float)
+        if not pay[m] >= pay.max():
+            return False
+    return True
 
 
 def basin(game: OnePopGame, n: int, m: int,
@@ -226,7 +209,7 @@ def hat_s(game: TwoPopGame, pop: str, state: State) -> frozenset[int]:
     A strategy is permissible when its convention payoff weakly beats the
     convention payoff of every current best reply of ``pop``.
     """
-    pay = _pop_payoffs(game, state, pop)
+    pay = _reviser(game, state, pop)[1]
     costs = cost_vector(game, CostRule.INTENTIONAL, pay, 0, pop)
     return frozenset(np.flatnonzero(np.isfinite(costs)).tolist())
 
@@ -237,23 +220,18 @@ def step_cost(game: Game, rule: CostRule, state: State, move: Move) -> float:
     Nonnegative; zero exactly on best-response targets; +inf for moves the
     intentional rule forbids.
     """
-    counts, pay = _reviser(game, state, move)
+    counts, pay = _reviser(game, state, move.pop)
     if counts[move.src] < 1:
         who = "agent" if move.pop is None else f"{move.pop} agent"
         raise InfeasibleMoveError(f"no {who} plays strategy {move.src}")
     return float(cost_vector(game, rule, pay, move.src, move.pop)[move.dst])
 
 
-def _reviser(game: Game, state: State, move: Move) -> tuple:
-    """Counts of the mover's population and the payoffs its revisers face."""
-    if isinstance(game, TwoPopGame):
-        if move.pop not in ("alpha", "beta"):
-            raise ConditionError("two-population moves need pop='alpha' or 'beta'")
-        counts = state[0 if move.pop == "alpha" else 1]
-        return counts, _pop_payoffs(game, state, move.pop)
-    if move.pop is not None:
-        raise ConditionError("one-population moves must not carry a pop tag")
-    return state, payoff_vector(game, state)
+def _reviser(game: Game, state: State, pop: Optional[str]) -> tuple:
+    """Counts of ``pop`` at ``state`` and the payoffs its revisers face; a pop
+    tag the game does not have is refused by ``oriented``."""
+    own, faced = _sides(state, pop)
+    return own, payoff_vector(game, faced, pop)
 
 
 def cost_vector(game: Game, rule: CostRule, pay: np.ndarray, src: int,
@@ -275,7 +253,7 @@ def cost_vector(game: Game, rule: CostRule, pay: np.ndarray, src: int,
             raise UnsupportedRuleError(
                 "the intentional rule is defined for two-population games only"
             )
-        conv = np.diag(game.matrix(pop))
+        conv = np.diag(game.oriented(pop))
         cutoff = np.where(pay == top, conv, -np.inf).max(axis=-1, keepdims=True)
         return np.where(conv >= cutoff, top - pay, np.inf)
     if rule is CostRule.UNIFORM:
@@ -311,7 +289,7 @@ def transition_probability(
     absorb the remaining mass.
     """
     _check_beta(beta)
-    counts, pay = _reviser(game, state, move)
+    counts, pay = _reviser(game, state, move.pop)
     if counts[move.src] < 1:
         return 0.0
     probs = _choice_probabilities(

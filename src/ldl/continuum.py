@@ -13,10 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConditionError
-from .games import OnePopGame, mixed_equilibrium, skew
+from .games import NEAR_TIE, OnePopGame, mixed_equilibrium, skew
 
 SIMPLEX_TOL = 1e-12
-BASIN_TOL = 1e-9
 
 
 def as_simplex_point(p: Sequence[float]) -> np.ndarray:
@@ -34,13 +33,13 @@ def payoffs_at(game: OnePopGame, p: np.ndarray) -> np.ndarray:
 
 
 def in_closed_basin(game: OnePopGame, mbar: int, p: Sequence[float],
-                    tol: float = BASIN_TOL) -> bool:
+                    tol: float = NEAR_TIE) -> bool:
     pay = payoffs_at(game, np.asarray(p, dtype=float))
     return bool(pay[mbar] >= pay.max() - tol)
 
 
 def on_basin_boundary(game: OnePopGame, mbar: int, p: Sequence[float],
-                      tol: float = BASIN_TOL) -> bool:
+                      tol: float = NEAR_TIE) -> bool:
     pay = payoffs_at(game, np.asarray(p, dtype=float))
     others = [pay[l] for l in range(game.k) if l != mbar]
     return bool(pay[mbar] >= max(others) - tol and max(others) >= pay[mbar] - tol)
@@ -104,7 +103,7 @@ def oblique_cost(game: OnePopGame, mbar: int, p: Sequence[float],
         recon[j] -= a
     else:
         recon[mbar] -= a
-    if np.max(np.abs(recon - d)) > 1e-9:
+    if np.max(np.abs(recon - d)) > NEAR_TIE:
         raise ConditionError("decomposition (a, b) does not match q - p")
     for point in (p, q):
         if not in_closed_basin(game, mbar, point):
@@ -214,7 +213,7 @@ def _via_cost(game: OnePopGame, mid: int, far: int) -> float:
         raise ConditionError("required mixed equilibria are absent")
     a = float(p_pair[mid] - q_full[mid])
     b = float(p_pair[0] - q_full[0])
-    if a < -1e-9 or b < -1e-9:
+    if a < -NEAR_TIE or b < -NEAR_TIE:
         raise ConditionError(
             "the through-route decomposition has a negative component"
         )

@@ -38,6 +38,8 @@ from .games import (
     OnePopGame,
     TwoPopGame,
     check_convention,
+    conflict_of_interest,
+    strict_conventions,
     tilde_s,
     validate_one_pop,
     validate_two_pop,
@@ -122,7 +124,7 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     radix = int(n) + 1  # a numpy n would wrap keys past 2**63
     powers = [radix ** i for i in range(k)]
     place = radix * powers[-1]
-    pops = ("alpha", "beta") if two_pop else (None,)
+    pops = game.populations
     steps = [[[(pj - pi) * place ** side for pj in powers] for pi in powers]
              for side in range(len(pops))]  # the key change of a move i -> j
     shifts = [steps[0][i][j] for i in range(k) for j in range(k) if j != i]
@@ -212,17 +214,7 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
 
 
 def _require_strict_convention(game, m: int) -> None:
-    if isinstance(game, TwoPopGame):
-        ok = all(
-            game.alpha[m, m] > game.alpha[j, m]
-            and game.beta[m, m] > game.beta[m, j]
-            for j in range(game.k)
-            if j != m
-        )
-    else:
-        a = game.payoffs
-        ok = all(a[m, m] > a[j, m] for j in range(game.k) if j != m)
-    if not ok:
+    if not strict_conventions(game)[m]:
         raise ConditionError(f"strategy {m} is not a strict Nash convention")
 
 
@@ -300,6 +292,20 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
 # Infinite-population limits
 
 
+def _drop_swing(game, pop: Optional[str], m: int, j: int) -> tuple[float, float]:
+    """Payoff drop of a ``pop`` agent leaving convention m for j, and the total
+    swing (the drop plus j's edge at convention j), on ``pop``'s oriented
+    matrix; refuses a pair whose swing is not positive."""
+    mat = game.oriented(pop)
+    drop = mat[m, m] - mat[j, m]
+    swing = drop + (mat[j, j] - mat[m, j])
+    if swing <= 0:
+        raise ConditionError(
+            f"strategies {m}, {j} admit no interior pairwise equilibrium"
+        )
+    return drop, swing
+
+
 def pairwise_escape_term(game: OnePopGame, m: int, j: int,
                          rule: CostRule = CostRule.LOGIT) -> float:
     """Limit escape cost per unit population along the straight m -> j route.
@@ -307,13 +313,7 @@ def pairwise_escape_term(game: OnePopGame, m: int, j: int,
     Logit: half the squared payoff drop over the total payoff swing; uniform:
     just the threshold fraction of deviators flipping the best response.
     """
-    a = game.payoffs
-    drop = a[m, m] - a[j, m]
-    swing = drop + (a[j, j] - a[m, j])
-    if swing <= 0:
-        raise ConditionError(
-            f"strategies {m}, {j} admit no interior pairwise equilibrium"
-        )
+    drop, swing = _drop_swing(game, None, m, j)
     if rule is CostRule.LOGIT:
         return 0.5 * drop * drop / swing
     if rule is CostRule.UNIFORM:
@@ -330,20 +330,24 @@ def exit_limit_one_pop(
         raise UnsupportedRuleError(
             "no limit formula is available for this rule; use the oracle"
         )
-    terms = {
-        j: pairwise_escape_term(game, mbar, j, rule)
-        for j in range(game.k)
-        if j != mbar
-    }
-    lo = min(terms.values())
-    argmins = tuple(sorted(j for j, v in terms.items() if v <= lo + NEAR_TIE))
+    return _closed_form(mbar, rule, {
+        j: (pairwise_escape_term(game, mbar, j, rule), None)
+        for j in range(game.k) if j != mbar})
+
+
+def _closed_form(m: int, rule: CostRule, terms: dict) -> EscapeResult:
+    """The least of the limit terms ``{j: (cost, driving population)}`` out of
+    convention m, with every target within ``NEAR_TIE`` of it."""
+    lo = min(v for v, _ in terms.values())
+    argmins = tuple(sorted(j for j, (v, _) in terms.items() if v <= lo + NEAR_TIE))
     return EscapeResult(
         n=None,
-        convention=mbar,
+        convention=m,
         rule=rule,
         cost=lo,
         normalized=lo,
         argmin_targets=argmins,
+        driving_population=terms[argmins[0]][1],
         provenance="closed-form",
     )
 
@@ -354,15 +358,7 @@ def two_pop_thresholds(game: TwoPopGame, m: int, j: int) -> tuple[float, float]:
     zeta_alpha is the fraction of beta-deviators to ``j`` that makes ``j`` a
     best reply for alpha agents; zeta_beta is the mirror image.
     """
-    a, b = game.alpha, game.beta
-    da = a[m, m] - a[j, m]
-    sa = da + (a[j, j] - a[m, j])
-    db = b[m, m] - b[m, j]
-    sb = db + (b[j, j] - b[j, m])
-    if sa <= 0 or sb <= 0:
-        raise ConditionError(
-            f"strategies {m}, {j} admit no interior pairwise equilibrium"
-        )
+    (da, sa), (db, sb) = (_drop_swing(game, pop, m, j) for pop in game.populations)
     return da / sa, db / sb
 
 
@@ -370,10 +366,9 @@ def escape_term_two_pop(
     game: TwoPopGame, m: int, j: int, rule: CostRule
 ) -> tuple[float, str]:
     """Limit cost of tipping convention m to j, and the deviating population."""
-    a, b = game.alpha, game.beta
-    zeta_a, zeta_b = two_pop_thresholds(game, m, j)
-    beta_driven = (b[m, m] - b[m, j]) * zeta_a
-    alpha_driven = (a[m, m] - a[j, m]) * zeta_b
+    (da, sa), (db, sb) = (_drop_swing(game, pop, m, j) for pop in game.populations)
+    beta_driven = db * (da / sa)
+    alpha_driven = da * (db / sb)
     if rule is CostRule.LOGIT:
         if abs(beta_driven - alpha_driven) <= 1e-12:
             return beta_driven, "tie"
@@ -398,27 +393,9 @@ def exit_limit_two_pop(
 ) -> EscapeResult:
     """Closed-form limit of the two-population escape cost from convention m."""
     check_convention(game, m)
-    if rule is CostRule.INTENTIONAL and not validate_two_pop(
-        game, m
-    ).conflict_of_interest:
+    if rule is CostRule.INTENTIONAL and not conflict_of_interest(game, m):
         raise ConditionError(
             "the intentional limit requires conflicting population interests"
         )
-    terms = {}
-    for j in range(game.k):
-        if j == m:
-            continue
-        terms[j] = escape_term_two_pop(game, m, j, rule)
-    lo = min(v for v, _ in terms.values())
-    argmins = tuple(sorted(j for j, (v, _) in terms.items() if v <= lo + NEAR_TIE))
-    driving = terms[argmins[0]][1]
-    return EscapeResult(
-        n=None,
-        convention=m,
-        rule=rule,
-        cost=lo,
-        normalized=lo,
-        argmin_targets=argmins,
-        driving_population=driving,
-        provenance="closed-form",
-    )
+    return _closed_form(m, rule, {j: escape_term_two_pop(game, m, j, rule)
+                                  for j in range(game.k) if j != m})

@@ -1,11 +1,25 @@
 """One- and two-population coordination games and their structural validation.
 
+Each population has one oriented payoff matrix M (``oriented``): its
+revisers' payoff vector is ``M @ faced_counts``.  M is ``payoffs`` for one
+population, and ``alpha`` (against beta's counts) or ``beta.T`` (against
+alpha's) for two, so every per-population formula is written once.
+
 Payoffs are stored as double-precision matrices.  Strict inequalities
 (coordination, the bandwagon margins) are tested with exact comparisons:
 the example games carry integer or short-decimal payoffs, so no tolerance
 band is needed, and a tolerance would blur genuinely weak inequalities.
-Only solved mixed equilibria use a residual tolerance (``EQ_TOL``), since
-they come out of a floating-point linear solve.
+The package's tolerances:
+
+- ``NEAR_TIE`` (1e-9): two computed costs, splits or cell counts equal up
+  to rounding; also the continuum's basin band and decomposition checks.
+- ``EQ_TOL`` (1e-10): the residual of a solved indifference system here,
+  and of a bisection root in ``bargaining``.
+- ``POS_TOL`` (1e-12): strict positivity of a solved support weight.
+- ``continuum.SIMPLEX_TOL`` (1e-12): a point lies on the simplex.
+- Two literal 1e-12 ties, ``stable_division``'s winners and
+  ``escape_term_two_pop``'s driving population, keep their own value,
+  since merging them would change answers.
 """
 
 from __future__ import annotations
@@ -25,6 +39,23 @@ NEAR_TIE = 1e-9       # two computed costs or splits equal up to rounding
 FULL_SUPPORT_SCAN_MAX_K = 8   # beyond this the support scan is truncated
 
 
+def _payoff_matrix(raw, name: str) -> np.ndarray:
+    """``raw`` as a read-only square float matrix of finite entries."""
+    try:
+        a = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConditionError(f"{name} must be an array of finite numbers "
+                             "in rows of equal length") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConditionError(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ConditionError(f"{name} entries must be finite")
+    if a.shape[0] < 2:
+        raise ConditionError("need at least two strategies")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class OnePopGame:
     """Symmetric one-population game.
@@ -34,21 +65,20 @@ class OnePopGame:
     """
 
     payoffs: np.ndarray
+    populations = (None,)  # the ``pop`` tags of ``oriented``
 
     def __post_init__(self):
-        a = np.array(self.payoffs, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConditionError(f"payoff matrix must be square, got shape {a.shape}")
-        if a.shape[0] < 2:
-            raise ConditionError("need at least two strategies")
-        if not np.all(np.isfinite(a)):
-            raise ConditionError("payoff entries must be finite")
-        a.flags.writeable = False
-        object.__setattr__(self, "payoffs", a)
+        object.__setattr__(self, "payoffs", _payoff_matrix(self.payoffs, "payoff matrix"))
 
     @property
     def k(self) -> int:
         return self.payoffs.shape[0]
+
+    def oriented(self, pop: Optional[str] = None) -> np.ndarray:
+        """The matrix M whose ``M @ counts`` are the revisers' payoffs."""
+        if pop is not None:
+            raise ConditionError(f"one-population games take no pop tag, got {pop!r}")
+        return self.payoffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,21 +91,13 @@ class TwoPopGame:
 
     alpha: np.ndarray
     beta: np.ndarray
+    populations = ("alpha", "beta")
 
     def __post_init__(self):
-        a = np.array(self.alpha, dtype=float)
-        b = np.array(self.beta, dtype=float)
-        for name, m in (("alpha", a), ("beta", b)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ConditionError(f"{name} payoff matrix must be square")
-            if not np.all(np.isfinite(m)):
-                raise ConditionError(f"{name} payoff entries must be finite")
+        a = _payoff_matrix(self.alpha, "alpha payoff matrix")
+        b = _payoff_matrix(self.beta, "beta payoff matrix")
         if a.shape != b.shape:
             raise ConditionError("alpha and beta matrices must have equal shape")
-        if a.shape[0] < 2:
-            raise ConditionError("need at least two strategies")
-        a.flags.writeable = False
-        b.flags.writeable = False
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
@@ -83,12 +105,16 @@ class TwoPopGame:
     def k(self) -> int:
         return self.alpha.shape[0]
 
-    def matrix(self, pop: str) -> np.ndarray:
+    def oriented(self, pop: str) -> np.ndarray:
+        """The matrix M whose ``M @ faced_counts`` are ``pop``'s payoffs: alpha
+        reads its rows against beta's counts, beta (as ``beta.T``) its columns
+        against alpha's.  Its diagonal is ``pop``'s convention payoffs."""
         if pop == "alpha":
             return self.alpha
         if pop == "beta":
-            return self.beta
-        raise ValueError(f"unknown population {pop!r}")
+            return self.beta.T
+        raise ConditionError(f"two-population games need pop='alpha' or 'beta', "
+                             f"got {pop!r}")
 
 
 Game = Union[OnePopGame, TwoPopGame]
@@ -104,8 +130,12 @@ def mbp_margin(game: OnePopGame, i: int, j: int, k: int) -> float:
 
     Strict positivity on all distinct triples is the bandwagon condition.
     """
-    a = game.payoffs
-    return (a[i, i] - a[j, i]) - (a[i, k] - a[j, k])
+    return _margin(game.payoffs, i, j, k)
+
+
+def _margin(a, i: int, j: int, k: int) -> float:
+    """``mbp_margin`` on an oriented matrix ``a``, an array or nested lists."""
+    return (a[i][i] - a[j][i]) - (a[i][k] - a[j][k])
 
 
 def skew(game: OnePopGame, i: int, j: int, k: int) -> float:
@@ -175,137 +205,110 @@ def _support_family(k: int) -> tuple[list[tuple[int, ...]], bool]:
     return fam, True
 
 
-def _solve_support_one_pop(game: OnePopGame, support: Sequence[int]):
-    """Solve the indifference system on ``support``; returns (status, point)."""
-    a = game.payoffs
-    t = tuple(support)
+def _solve_support(mat: np.ndarray, support: Sequence[int]):
+    """Solve one population's indifference system on ``support``, with ``mat``
+    its oriented matrix; returns (status, the faced population's mixture)."""
+    k = len(mat)
+    t = list(support)
     m = len(t)
+    p = np.zeros(k)
     if m == 1:
         i = t[0]
-        p = np.zeros(game.k)
-        p[i] = 1.0
-        others = [q for q in range(game.k) if q != i]
-        if others and max(a[q, i] for q in others) >= a[i, i]:
+        col = mat[:, i].tolist()
+        if max(col[:i] + col[i + 1:]) >= col[i]:
             return "absent", None
+        p[i] = 1.0
         return "ok", p
     lhs = np.zeros((m, m))
     rhs = np.zeros(m)
     for row, i in enumerate(t[1:]):
-        lhs[row, :] = (a[t[0]] - a[i])[list(t)]
+        lhs[row, :] = (mat[t[0]] - mat[i])[t]
     lhs[m - 1, :] = 1.0
     rhs[m - 1] = 1.0
     try:
         sol = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
         return "degenerate", None
-    if not np.all(np.isfinite(sol)) or np.any(sol <= POS_TOL):
+    if not np.isfinite(sol).all() or (sol <= POS_TOL).any():
         return "absent", None
-    p = np.zeros(game.k)
-    p[list(t)] = sol
-    payoffs = a @ p
+    p[t] = sol
+    payoffs = (mat @ p).tolist()
     common = payoffs[t[0]]
     if max(abs(payoffs[i] - common) for i in t) > EQ_TOL:
         return "degenerate", None
-    for q in range(game.k):
-        if q not in t and payoffs[q] > common + EQ_TOL:
-            return "absent", None
+    if any(payoffs[q] > common + EQ_TOL for q in range(k) if q not in t):
+        return "absent", None
     return "ok", p
 
 
-def _solve_support_two_pop(game: TwoPopGame, support: Sequence[int]):
-    """Mixed equilibrium with both populations supported on ``support``.
-
-    The beta side must be indifferent over the support given the alpha
-    mixture and vice versa; the two linear systems are independent.
-    """
+def _support_check(game: Game, support: Sequence[int]) -> SupportCheck:
+    """Every population supported on ``support``: each side is solved on its
+    oriented matrix, and a degenerate side is reported before an absent one.
+    A two-population point is (p_alpha, p_beta); each side's solve yields
+    the mixture of the population it faces, hence the reversal."""
     t = tuple(support)
-    m = len(t)
-    k = game.k
-    if m == 1:
-        i = t[0]
-        pa = np.zeros(k)
-        pb = np.zeros(k)
-        pa[i] = pb[i] = 1.0
-        alpha_ok = all(game.alpha[q, i] < game.alpha[i, i] for q in range(k) if q != i)
-        beta_ok = all(game.beta[i, q] < game.beta[i, i] for q in range(k) if q != i)
-        return ("ok", (pa, pb)) if alpha_ok and beta_ok else ("absent", None)
-
-    def solve(system_rows):
-        lhs = np.zeros((m, m))
-        rhs = np.zeros(m)
-        for row, vec in enumerate(system_rows):
-            lhs[row, :] = vec
-        lhs[m - 1, :] = 1.0
-        rhs[m - 1] = 1.0
-        try:
-            sol = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(sol)) or np.any(sol <= POS_TOL):
-            return "absent"
-        full = np.zeros(k)
-        full[list(t)] = sol
-        return full
-
-    # p_beta makes alpha indifferent over t: rows (A^a[t0] - A^a[i]) on t.
-    p_beta = solve([(game.alpha[t[0]] - game.alpha[i])[list(t)] for i in t[1:]])
-    # p_alpha makes beta indifferent over t: columns of A^b.
-    p_alpha = solve([(game.beta[:, t[0]] - game.beta[:, i])[list(t)] for i in t[1:]])
-    if p_beta is None or p_alpha is None:
-        return "degenerate", None
-    if isinstance(p_beta, str) or isinstance(p_alpha, str):
-        return "absent", None
-
-    pay_a = game.alpha @ p_beta
-    pay_b = p_alpha @ game.beta
-    for pay in (pay_a, pay_b):
-        common = pay[t[0]]
-        if max(abs(pay[i] - common) for i in t) > EQ_TOL:
-            return "degenerate", None
-        for q in range(k):
-            if q not in t and pay[q] > common + EQ_TOL:
-                return "absent", None
-    return "ok", (p_alpha, p_beta)
+    sides = [_solve_support(game.oriented(pop), t) for pop in game.populations]
+    statuses = [s for s, _ in sides]
+    for status in ("degenerate", "absent"):
+        if status in statuses:
+            return SupportCheck(t, status)
+    points = [p for _, p in reversed(sides)]
+    return SupportCheck(t, "ok", points[0] if len(points) == 1 else tuple(points))
 
 
-def mixed_equilibrium(game: OnePopGame, support: Sequence[int]) -> Optional[np.ndarray]:
-    """Mixed Nash equilibrium with the given support, or None if absent.
+def mixed_equilibrium(game: Game, support: Sequence[int]) -> Optional[object]:
+    """Mixed Nash equilibrium with the given support, or None if absent; for
+    two populations the pair (p_alpha, p_beta).
 
     Degenerate (rank-deficient) indifference systems report absence rather
     than guessing a point.
     """
     if len(support) == 0:
         raise ConditionError("support must be nonempty")
-    status, p = _solve_support_one_pop(game, support)
-    return p if status == "ok" else None
+    return _support_check(game, support).point
 
 
 def mixed_equilibrium_two_pop(
     game: TwoPopGame, support: Sequence[int]
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Two-population mixed equilibrium (p_alpha, p_beta) on ``support``."""
-    if len(support) == 0:
-        raise ConditionError("support must be nonempty")
-    status, pair = _solve_support_two_pop(game, support)
-    return pair if status == "ok" else None
+    return mixed_equilibrium(game, support)
+
+
+def strict_conventions(game: Game) -> list[bool]:
+    """Per strategy m, whether every population's ``M[m, m]`` beats each
+    ``M[j, m]``, j != m (M its oriented matrix): m is a strict convention."""
+    mats = [game.oriented(pop).tolist() for pop in game.populations]
+    return [all(a[m][m] > a[j][m] for a in mats for j in range(game.k) if j != m)
+            for m in range(game.k)]
+
+
+def _bandwagon(game: Game, strict: bool) -> bool:
+    """Every population's margins over distinct triples are ``> 0`` (strict)
+    or ``>= 0`` (weak)."""
+    for pop in game.populations:
+        a = game.oriented(pop).tolist()
+        for triple in permutations(range(game.k), 3):
+            margin = _margin(a, *triple)
+            if not (margin > 0 if strict else margin >= 0):
+                return False
+    return True
+
+
+def _validate(game: Game, strict: bool,
+              conflict: Optional[bool] = None) -> ConditionReport:
+    """Coordination, the bandwagon margins and each support, on every
+    population's oriented matrix."""
+    family, partial = _support_family(game.k)
+    checks = tuple(_support_check(game, t) for t in family)
+    return ConditionReport(all(strict_conventions(game)), _bandwagon(game, strict),
+                           checks, conflict, partial)
 
 
 def validate_one_pop(game: OnePopGame) -> ConditionReport:
     """Check coordination, the strict bandwagon property, and mixed-equilibrium
     existence per support."""
-    a = game.payoffs
-    k = game.k
-    coordination = all(
-        a[i, i] > a[j, i] for i in range(k) for j in range(k) if j != i
-    )
-    bandwagon = all(
-        mbp_margin(game, i, j, l) > 0 for i, j, l in permutations(range(k), 3)
-    )
-    family, partial = _support_family(k)
-    checks = tuple(
-        SupportCheck(t, *_solve_support_one_pop(game, t)) for t in family
-    )
-    return ConditionReport(coordination, bandwagon, checks, None, partial)
+    return _validate(game, strict=True)
 
 
 def check_convention(game: Game, m: int) -> None:
@@ -316,8 +319,8 @@ def check_convention(game: Game, m: int) -> None:
 
 def tilde_s(game: TwoPopGame, m: int, pop: str) -> frozenset[int]:
     """Strategies whose convention payoff weakly beats convention ``m`` for ``pop``."""
-    mat = game.matrix(pop)
-    return frozenset(l for l in range(game.k) if mat[l, l] >= mat[m, m])
+    conv = np.diag(game.oriented(pop))
+    return frozenset(l for l in range(game.k) if conv[l] >= conv[m])
 
 
 def conflict_of_interest(game: TwoPopGame, m: int) -> bool:
@@ -333,29 +336,7 @@ def validate_two_pop(game: TwoPopGame, m: int) -> ConditionReport:
     """Check coordination, the weak bandwagon property, support solvability,
     and conflict of interest at convention ``m``."""
     check_convention(game, m)
-    a, b = game.alpha, game.beta
-    k = game.k
-    coordination = all(
-        a[i, i] > a[j, i] and b[i, i] > b[i, j]
-        for i in range(k)
-        for j in range(k)
-        if j != i
-    )
-    weak_bandwagon = True
-    for mb, i, j in permutations(range(k), 3):
-        if a[mb, mb] - a[i, mb] < a[mb, j] - a[i, j]:
-            weak_bandwagon = False
-            break
-        if b[mb, mb] - b[mb, i] < b[j, mb] - b[j, i]:
-            weak_bandwagon = False
-            break
-    family, partial = _support_family(k)
-    checks = tuple(
-        SupportCheck(t, *_solve_support_two_pop(game, t)) for t in family
-    )
-    return ConditionReport(
-        coordination, weak_bandwagon, checks, conflict_of_interest(game, m), partial
-    )
+    return _validate(game, strict=False, conflict=conflict_of_interest(game, m))
 
 
 def ndg_build(frontier, L: int) -> TwoPopGame:

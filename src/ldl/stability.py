@@ -56,20 +56,16 @@ class RadiusMatrix:
 def radius_matrix(game, rule: CostRule = CostRule.LOGIT) -> RadiusMatrix:
     k = game.k
     values = np.full((k, k), np.nan)
-    if isinstance(game, TwoPopGame):
-        if rule not in (CostRule.LOGIT, CostRule.INTENTIONAL):
-            raise UnsupportedRuleError(
-                "two-population radii exist for the logit rules only"
-            )
-        for m in range(k):
-            for j in range(k):
-                if j != m:
-                    values[m, j] = escape_term_two_pop(game, m, j, rule)[0]
-    else:
-        for m in range(k):
-            for j in range(k):
-                if j != m:
-                    values[m, j] = pairwise_escape_term(game, m, j, rule)
+    two_pop = isinstance(game, TwoPopGame)
+    if two_pop and rule not in (CostRule.LOGIT, CostRule.INTENTIONAL):
+        raise UnsupportedRuleError(
+            "two-population radii exist for the logit rules only"
+        )
+    for m in range(k):
+        for j in range(k):
+            if j != m:
+                values[m, j] = (escape_term_two_pop(game, m, j, rule)[0] if two_pop
+                                else pairwise_escape_term(game, m, j, rule))
     values.flags.writeable = False
     return RadiusMatrix(values, rule)
 
@@ -444,11 +440,18 @@ def beta_ladder_trace(
 
     Stops as soon as the mass exceeds ``mass_target``, beta passes the cap,
     or the solve loses conditioning; returns the sound (beta, mass) pairs.
-    ``beta0`` must be finite and positive, or doubling never moves it; a
-    refused input raises rather than ending the ladder.
+    ``beta0`` must be finite and positive, or doubling never moves it, and
+    ``beta_cap`` at least ``beta0``; a NaN cap or target would end the
+    ladder before its first rung or never.  A refused input raises rather
+    than ending the ladder.
     """
     if not (math.isfinite(beta0) and beta0 > 0):
         raise ConditionError(f"beta0 must be finite and positive, got {beta0!r}")
+    if not beta_cap >= beta0:
+        raise ConditionError(f"beta_cap must be at least beta0={beta0!r}, "
+                             f"got {beta_cap!r}")
+    if math.isnan(mass_target):
+        raise ConditionError("mass_target must not be NaN")
     out = []
     beta = beta0
     while beta <= beta_cap:

@@ -22,6 +22,18 @@ DECIMAL_TIE = OnePopGame([[1.9, 0, -0.2], [-0.1, 1.6, -0.1], [0.2, -0.3, 1.0]])
 TWO_POP_2X2 = TwoPopGame([[2, 0], [0, 1]], [[1, 0], [0, 2]])
 
 
+def alpha_payoffs(game: TwoPopGame, beta_counts) -> np.ndarray:
+    """Alpha's payoff vector against beta's counts, formed apart from ``ldl``."""
+    c = np.asarray(beta_counts, dtype=float)
+    return game.alpha @ c / c.sum()
+
+
+def beta_payoffs(game: TwoPopGame, alpha_counts) -> np.ndarray:
+    """Beta's payoff vector against alpha's counts, formed apart from ``ldl``."""
+    c = np.asarray(alpha_counts, dtype=float)
+    return c @ game.beta / c.sum()
+
+
 def random_condition_a_games(count: int, seed: int, k: int = 3) -> list[OnePopGame]:
     """Seeded rejection sampler for games passing the full structural check."""
     rng = np.random.default_rng(seed)

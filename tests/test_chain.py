@@ -38,8 +38,6 @@ from ldl.chain import (
     hat_s,
     num_states,
     payoff_vector,
-    payoff_vector_alpha,
-    payoff_vector_beta,
 )
 from ldl.errors import AdjacencyError
 from gamegen import (
@@ -48,6 +46,8 @@ from gamegen import (
     TECH_UNEVEN,
     TWO_POP_2X2,
     TWO_STRATEGY,
+    alpha_payoffs,
+    beta_payoffs,
     dense_kernel,
     random_basin_states,
     random_condition_a_games,
@@ -323,9 +323,9 @@ def _reference_band(game, n, beta, rule):
             if mv.pop is None:
                 counts, pay, share = s, payoff_vector(game, s), 1.0
             elif mv.pop == "alpha":
-                counts, pay, share = s[0], payoff_vector_alpha(game, s[1]), 0.5
+                counts, pay, share = s[0], alpha_payoffs(game, s[1]), 0.5
             else:
-                counts, pay, share = s[1], payoff_vector_beta(game, s[0]), 0.5
+                counts, pay, share = s[1], beta_payoffs(game, s[0]), 0.5
             q = _reference_softmax(cost_vector(game, rule, pay, mv.src, mv.pop), beta)
             p = share * counts[mv.src] / n * q[mv.dst]
             entries.append((a, index[apply_move(s, mv)], p))
@@ -358,7 +358,7 @@ def test_stacked_softmax_is_row_by_row(beta):
     ndg = ndg_build(Frontier(1, 3, 0.5), 6)
     wide = random_condition_a_games(1, seed=7, k=9)[0]
     stacks = [cost_vector(ndg, CostRule.INTENTIONAL,
-                          np.array([payoff_vector_alpha(ndg, c)
+                          np.array([alpha_payoffs(ndg, c)
                                     for c in enumerate_states(9, ndg.k)]), 0, "alpha"),
               cost_vector(wide, CostRule.LOGIT,
                           np.array([payoff_vector(wide, c)
@@ -451,7 +451,7 @@ def test_stacked_cost_vector_is_row_by_row():
     cases = [(g, None, rule, payoff_vector) for g in
              [TECH] + random_decimal_games(2, seed=21) + random_decimal_games(1, seed=22, k=4)
              for rule in (CostRule.LOGIT, CostRule.UNIFORM, CostRule.BETTER_REPLY)]
-    cases += [(ndg, "alpha", rule, payoff_vector_alpha)
+    cases += [(ndg, "alpha", rule, alpha_payoffs)
               for rule in (CostRule.LOGIT, CostRule.INTENTIONAL,
                            CostRule.UNIFORM, CostRule.BETTER_REPLY)]
     for game, pop, rule, payoffs in cases:

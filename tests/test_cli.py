@@ -59,6 +59,21 @@ def test_validate_non_coordination_game_fails(tmp_path, capsys):
     assert "coordination" in out
 
 
+@pytest.mark.parametrize("doc", [
+    {"type": "one_population", "payoffs": [[1, 2], [3]]},
+    {"type": "one_population", "payoffs": "abc"},
+    {"type": "two_population", "alpha": [[2, 0], [0, 1]], "beta": [[1, 0], ["x", 2]]},
+])
+def test_validate_malformed_payoffs_is_one_line_exit_2(tmp_path, capsys, doc):
+    # These ended in a raw numpy ValueError traceback.
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "array of finite numbers" in err
+
+
 def test_exit_limit_output(tech_path, capsys):
     code, out, _ = run(capsys, "exit", tech_path, "--convention", "1", "--limit")
     assert code == 0

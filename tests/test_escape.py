@@ -38,8 +38,6 @@ from ldl.chain import (
     cost_vector,
     enumerate_states,
     payoff_vector,
-    payoff_vector_alpha,
-    payoff_vector_beta,
 )
 from ldl.escape import _least_cost_search, _price, two_pop_thresholds
 from ldl.paths import run_cost_closed_form
@@ -49,6 +47,8 @@ from gamegen import (
     TECH_UNEVEN,
     TWO_POP_2X2,
     TWO_STRATEGY,
+    alpha_payoffs,
+    beta_payoffs,
     random_condition_a_games,
     random_decimal_games,
 )
@@ -388,8 +388,8 @@ def test_two_pop_oracle_approaches_limit():
 # survives here only as the reference
 
 
-_FACED_PAYOFFS = {None: payoff_vector, "alpha": payoff_vector_alpha,
-                  "beta": payoff_vector_beta}
+_FACED_PAYOFFS = {None: payoff_vector, "alpha": alpha_payoffs,
+                  "beta": beta_payoffs}
 
 
 def reference_least_cost_search(game, n, start, target, leaving, rule,

@@ -1,17 +1,22 @@
 """game-core: construction, validation, equilibria, demand games."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldl import (
     ConditionError,
+    CostRule,
     Frontier,
     OnePopGame,
     TwoPopGame,
+    exit_limit_two_pop,
     game_from_json,
     game_to_json,
+    in_basin,
     mbp_margin,
     mixed_equilibrium,
     mixed_equilibrium_two_pop,
@@ -22,7 +27,10 @@ from ldl import (
     validate_one_pop,
     validate_two_pop,
 )
-from gamegen import TECH, TWO_STRATEGY, random_condition_a_games
+from ldl.chain import enumerate_states
+from ldl.escape import two_pop_thresholds
+from ldl.games import EQ_TOL, POS_TOL, _support_family
+from gamegen import TECH, TWO_POP_2X2, TWO_STRATEGY, random_condition_a_games
 
 
 def test_tech_game_matrix():
@@ -210,3 +218,165 @@ def test_json_schema_errors():
         game_from_json('{"payoffs": [[1]]}')
     with pytest.raises(ConditionError):
         game_from_json('{"type": "three_population"}')
+
+
+# ---------------------------------------------------------------------------
+# Each population's side solved on its oriented matrix, against the
+# two-population solver and checks it replaced, which survive here only as
+# the reference
+
+
+def reference_solve_support_two_pop(game, support):
+    """Both sides' indifference systems solved together: a singular system
+    anywhere is degenerate, then a nonpositive weight anywhere is absent,
+    then alpha's payoff checks precede beta's.  Returns (status, point)."""
+    t = tuple(support)
+    m = len(t)
+    k = game.k
+    if m == 1:
+        i = t[0]
+        pa = np.zeros(k)
+        pb = np.zeros(k)
+        pa[i] = pb[i] = 1.0
+        alpha_ok = all(game.alpha[q, i] < game.alpha[i, i] for q in range(k) if q != i)
+        beta_ok = all(game.beta[i, q] < game.beta[i, i] for q in range(k) if q != i)
+        return ("ok", (pa, pb)) if alpha_ok and beta_ok else ("absent", None)
+
+    def solve(system_rows):
+        lhs = np.zeros((m, m))
+        rhs = np.zeros(m)
+        for row, vec in enumerate(system_rows):
+            lhs[row, :] = vec
+        lhs[m - 1, :] = 1.0
+        rhs[m - 1] = 1.0
+        try:
+            sol = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(sol)) or np.any(sol <= POS_TOL):
+            return "absent"
+        full = np.zeros(k)
+        full[list(t)] = sol
+        return full
+
+    p_beta = solve([(game.alpha[t[0]] - game.alpha[i])[list(t)] for i in t[1:]])
+    p_alpha = solve([(game.beta[:, t[0]] - game.beta[:, i])[list(t)] for i in t[1:]])
+    if p_beta is None or p_alpha is None:
+        return "degenerate", None
+    if isinstance(p_beta, str) or isinstance(p_alpha, str):
+        return "absent", None
+    for pay in (game.alpha @ p_beta, p_alpha @ game.beta):
+        common = pay[t[0]]
+        if max(abs(pay[i] - common) for i in t) > EQ_TOL:
+            return "degenerate", None
+        for q in range(k):
+            if q not in t and pay[q] > common + EQ_TOL:
+                return "absent", None
+    return "ok", (p_alpha, p_beta)
+
+
+def reference_two_pop_flags(game):
+    """(coordination, weak bandwagon) read off alpha by rows, beta by columns."""
+    a, b = game.alpha, game.beta
+    k = game.k
+    coordination = all(a[i, i] > a[j, i] and b[i, i] > b[i, j]
+                       for i in range(k) for j in range(k) if j != i)
+    bandwagon = all(a[mb, mb] - a[i, mb] >= a[mb, j] - a[i, j]
+                    and b[mb, mb] - b[mb, i] >= b[j, mb] - b[j, i]
+                    for mb, i, j in permutations(range(k), 3))
+    return coordination, bandwagon
+
+
+def seeded_bimatrix_games(count, seed):
+    """Integer and one-decimal bimatrix games, k = 2..5, with every mix of
+    coordination, bandwagon and support outcomes."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for g in range(count):
+        k = int(rng.integers(2, 6))
+        a, b = (rng.integers(-3, 4, size=(k, k)).astype(float) for _ in range(2))
+        a[np.diag_indices(k)] = rng.integers(1, 12, size=k)
+        b[np.diag_indices(k)] = rng.integers(1, 12, size=k)
+        out.append(TwoPopGame(a / 10, b / 10) if g % 2 else TwoPopGame(a, b))
+    return out
+
+
+REFERENCE_GAMES = (
+    seeded_bimatrix_games(80, seed=31)
+    + [ndg_build(fr, L) for fr in (Frontier(1, 3, 0.5), Frontier(2, 3, 0.4))
+       for L in range(3, 10)]
+    + [TWO_POP_2X2, TwoPopGame(TECH.payoffs, TECH.payoffs.T)]
+)
+
+
+@pytest.mark.parametrize("game", REFERENCE_GAMES)
+def test_validate_two_pop_equals_the_reference(game):
+    rep = validate_two_pop(game, 0)
+    assert (rep.coordination, rep.bandwagon) == reference_two_pop_flags(game)
+    family, _ = _support_family(game.k)
+    assert [c.support for c in rep.supports_ok] == family
+    for check in rep.supports_ok:
+        status, point = reference_solve_support_two_pop(game, check.support)
+        assert check.status == status, check.support
+        if status == "ok":
+            assert all(np.array_equal(p, q) for p, q in zip(check.point, point))
+        else:
+            assert check.point is None
+
+
+def test_degenerate_side_is_reported_before_an_absent_one():
+    # alpha's rows 0 and 1 are equal, so its indifference system is
+    # singular; beta's mixture needs a negative weight
+    singular, negative = [[1, 0], [1, 0]], [[1, 0], [2, 0]]
+    for game in (TwoPopGame(singular, negative), TwoPopGame(np.transpose(negative),
+                                                           np.transpose(singular))):
+        (status,) = {validate_two_pop(game, 0).supports_ok[-1].status,
+                     reference_solve_support_two_pop(game, (0, 1))[0]}
+        assert status == "degenerate"
+        assert mixed_equilibrium_two_pop(game, (0, 1)) is None
+
+
+def _outcome(fn, *args):
+    """A call's value, or its refusal, for comparing two calls."""
+    try:
+        return fn(*args)
+    except ConditionError as exc:
+        return str(exc)
+
+
+SWAP = {"alpha": "beta", "beta": "alpha", "tie": "tie"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(game=st.one_of(
+    st.builds(lambda seed: seeded_bimatrix_games(1, seed)[0], st.integers(0, 2**16)),
+    st.builds(ndg_build, st.sampled_from((Frontier(1, 3, 0.5), Frontier(1.5, 2, 0.3))),
+              st.integers(3, 6))),
+    m=st.integers(0, 4))
+def test_swapping_the_populations_swaps_every_answer(game, m):
+    m = m % game.k
+    swapped = TwoPopGame(game.beta.T, game.alpha.T)
+    rep, rep_s = validate_two_pop(game, m), validate_two_pop(swapped, m)
+    assert (rep.coordination, rep.bandwagon, rep.conflict_of_interest) == (
+        rep_s.coordination, rep_s.bandwagon, rep_s.conflict_of_interest)
+    for check, check_s in zip(rep.supports_ok, rep_s.supports_ok):
+        assert check.status == check_s.status
+        if check.ok:
+            assert all(np.array_equal(p, q)
+                       for p, q in zip(check.point, reversed(check_s.point)))
+    for j in range(game.k):
+        if j != m:
+            zeta = _outcome(two_pop_thresholds, game, m, j)
+            zeta_s = _outcome(two_pop_thresholds, swapped, m, j)
+            assert zeta_s == (zeta if isinstance(zeta, str) else zeta[::-1])
+    side = list(enumerate_states(3, game.k))
+    assert all(in_basin(game, (a, b), m) == in_basin(swapped, (b, a), m)
+               for a in side for b in side)
+    for rule in (CostRule.LOGIT, CostRule.INTENTIONAL):
+        lim = _outcome(exit_limit_two_pop, game, m, rule)
+        lim_s = _outcome(exit_limit_two_pop, swapped, m, rule)
+        if isinstance(lim, str):
+            assert lim_s == lim
+        else:
+            assert (lim_s.cost, lim_s.argmin_targets) == (lim.cost, lim.argmin_targets)
+            assert lim_s.driving_population == SWAP[lim.driving_population]

@@ -354,6 +354,19 @@ def test_beta_ladder_refuses_bad_inputs():
     assert beta_ladder_trace(TWO_STRATEGY, 4, 0, beta0=1e-3, mass_target=0.99)
 
 
+def test_beta_ladder_refuses_nan_or_low_cap_and_nan_target():
+    # A NaN or sub-beta0 cap returned [] without a solve, and a NaN target
+    # was never exceeded, so the ladder climbed to the cap.
+    for cap in (math.nan, -1.0, 0.5):
+        with pytest.raises(ConditionError, match="beta_cap"):
+            beta_ladder_trace(TWO_STRATEGY, 4, 0, beta_cap=cap)
+    with pytest.raises(ConditionError, match="mass_target"):
+        beta_ladder_trace(TWO_STRATEGY, 4, 0, mass_target=math.nan)
+    # a cap equal to beta0 solves the one rung, and a target above 1 is allowed
+    assert [b for b, _ in beta_ladder_trace(TWO_STRATEGY, 4, 0, beta_cap=1.0)] == [1.0]
+    assert beta_ladder_trace(TWO_STRATEGY, 4, 0, mass_target=2.0)[-1][0] == 64.0
+
+
 def test_invariant_argmax_is_stable_convention():
     rep = maxmin_test(TECH_UNEVEN)
     states, pi = invariant_measure(TECH_UNEVEN, 10, 4.0)
