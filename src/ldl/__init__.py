@@ -14,6 +14,7 @@ from .bargaining import (
 from .chain import (
     CostRule,
     Move,
+    Path,
     apply_move,
     basin,
     convention_state,
@@ -59,7 +60,6 @@ from .games import (
     game_to_json,
     mbp_margin,
     mixed_equilibrium,
-    mixed_equilibrium_two_pop,
     ndg_build,
     skew,
     tech_game,
@@ -69,7 +69,6 @@ from .games import (
 )
 from .paths import (
     BlockSpec,
-    Path,
     cp1_delta,
     cp2_delta,
     cp2_direct,

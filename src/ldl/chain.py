@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
@@ -69,19 +69,24 @@ def is_two_pop_state(state: State) -> bool:
 
 
 def apply_move(state: State, move: Move) -> State:
-    if move.pop is None:
-        if state[move.src] < 1:
-            raise InfeasibleMoveError(f"no agent plays strategy {move.src}")
-        c = list(state)
-        c[move.src] -= 1
-        c[move.dst] += 1
-        return tuple(c)
-    side = 0 if move.pop == "alpha" else 1
-    counts = list(state[side])
+    """``state`` after ``move``; InfeasibleMoveError when the move's pop tag
+    does not fit the state, either end is not a strategy, or no agent plays
+    its source."""
+    if (move.pop not in (None, "alpha", "beta")
+            or (move.pop is None) == is_two_pop_state(state)):
+        raise InfeasibleMoveError(f"a move with pop={move.pop!r} does not fit {state}")
+    side = None if move.pop is None else (0 if move.pop == "alpha" else 1)
+    counts = list(state if side is None else state[side])
+    if not (0 <= move.src < len(counts) and 0 <= move.dst < len(counts)):
+        raise InfeasibleMoveError(f"move {move.src} -> {move.dst} is not between "
+                                  f"strategies 0..{len(counts) - 1}")
     if counts[move.src] < 1:
-        raise InfeasibleMoveError(f"no {move.pop} agent plays strategy {move.src}")
+        who = "agent" if side is None else f"{move.pop} agent"
+        raise InfeasibleMoveError(f"no {who} plays strategy {move.src}")
     counts[move.src] -= 1
     counts[move.dst] += 1
+    if side is None:
+        return tuple(counts)
     out = list(state)
     out[side] = tuple(counts)
     return tuple(out)
@@ -303,11 +308,56 @@ def transition_probability(
 # Paths
 
 
-def path_cost(game: Game, rule: CostRule, states: Sequence[State]) -> float:
-    """Total cost of a state sequence; +inf propagates; 0 for trivial paths."""
+@dataclass(frozen=True)
+class Path:
+    """A sequence of states, each one move from the last, and those moves.
+
+    ``Path(states)`` derives every link's move with ``move_between`` and so
+    refuses a broken link (``AdjacencyError``); ``Path.walk`` builds the
+    path from its moves instead, adjacent by construction.
+    """
+
+    states: tuple
+    moves: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        states = tuple(tuple(s) if not isinstance(s, tuple) else s for s in self.states)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "moves", tuple(
+            move_between(x, y) for x, y in zip(states, states[1:])))
+
+    @classmethod
+    def walk(cls, start: State, moves: Sequence[Move]) -> Path:
+        """The path that applies ``moves`` in turn from ``start``; a self-move
+        is refused (``AdjacencyError``), and so is an infeasible move
+        (``InfeasibleMoveError``, from ``apply_move``)."""
+        moves = tuple(moves)
+        state = start if isinstance(start, tuple) else tuple(start)
+        states = [state]
+        for mv in moves:
+            if mv.src == mv.dst:
+                raise AdjacencyError(f"move {mv.src} -> {mv.dst} changes no state")
+            state = apply_move(state, mv)
+            states.append(state)
+        path = object.__new__(cls)
+        object.__setattr__(path, "states", tuple(states))
+        object.__setattr__(path, "moves", moves)
+        return path
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def cost(self, game: Game, rule: CostRule = CostRule.LOGIT) -> float:
+        return path_cost(game, rule, self)
+
+
+def path_cost(game: Game, rule: CostRule, path: Path | Sequence[State]) -> float:
+    """Total cost of a path's moves, a state sequence first built into a
+    ``Path``; +inf propagates; 0 for trivial paths."""
+    if not isinstance(path, Path):
+        path = Path(path)
     total = 0.0
-    for x, y in zip(states, states[1:]):
-        mv = move_between(x, y)
+    for x, mv in zip(path.states, path.moves):
         c = step_cost(game, rule, x, mv)
         if math.isinf(c):
             return math.inf

@@ -221,17 +221,6 @@ def _via_cost(game: OnePopGame, mid: int, far: int) -> float:
     return _direct_edge_cost(game, 0, mid) + leg
 
 
-def co_com_gap(game: OnePopGame, mbar: int, j: int, mprime: int) -> float:
-    """Cyclic asymmetry deciding whether a direct straight route beats the
-    two-leg route through the (mbar, j) boundary; positive means the
-    two-leg route is strictly cheaper."""
-    a = game.payoffs
-    return float(
-        -a[mbar, j] + a[mbar, mprime] + a[j, mbar]
-        - a[j, mprime] - a[mprime, mbar] + a[mprime, j]
-    )
-
-
 def transition_cost_limit_3(game: OnePopGame) -> ThreeStrategyTransitionCosts:
     """Limit costs of the transitions 0 -> 1 and 0 -> 2 for k = 3 games.
 

@@ -21,6 +21,7 @@ from .chain import (
     ONE_POP_SEARCH_CAP,
     TWO_POP_SEARCH_CAP,
     CostRule,
+    Path,
     check_guardrail,
     check_population,
     convention_state,
@@ -44,7 +45,7 @@ from .games import (
     validate_one_pop,
     validate_two_pop,
 )
-from .paths import BlockSpec, Path, cheapest_block_path
+from .paths import BlockSpec, cheapest_block_path
 
 
 @dataclass(frozen=True)
@@ -275,14 +276,14 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
     best = cheapest_block_path(game, n, mbar)
     if best is None:
         raise LdlError("no block escape path exists")
-    cost, spec, states = best
+    cost, spec, witness = best
     return EscapeResult(
         n=n,
         convention=mbar,
         rule=CostRule.LOGIT,
         cost=cost,
         normalized=cost / n,
-        witness=Path(states),
+        witness=witness,
         block=spec,
         provenance="reduced",
     )

@@ -25,6 +25,7 @@ The package's tolerances:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional, Sequence, Union
@@ -40,12 +41,19 @@ FULL_SUPPORT_SCAN_MAX_K = 8   # beyond this the support scan is truncated
 
 
 def _payoff_matrix(raw, name: str) -> np.ndarray:
-    """``raw`` as a read-only square float matrix of finite entries."""
+    """``raw`` as a read-only square float matrix of finite entries; a
+    string or boolean entry is refused, not converted."""
+    malformed = ConditionError(f"{name} must be an array of finite numbers "
+                               "in rows of equal length")
+    if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf"):
+        cells = np.array(raw, dtype=object).flat
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                   for x in cells):
+            raise malformed
     try:
         a = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ConditionError(f"{name} must be an array of finite numbers "
-                             "in rows of equal length") from None
+        raise malformed from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConditionError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -263,16 +271,15 @@ def mixed_equilibrium(game: Game, support: Sequence[int]) -> Optional[object]:
     Degenerate (rank-deficient) indifference systems report absence rather
     than guessing a point.
     """
-    if len(support) == 0:
+    t = tuple(support)
+    if not t:
         raise ConditionError("support must be nonempty")
-    return _support_check(game, support).point
-
-
-def mixed_equilibrium_two_pop(
-    game: TwoPopGame, support: Sequence[int]
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Two-population mixed equilibrium (p_alpha, p_beta) on ``support``."""
-    return mixed_equilibrium(game, support)
+    if len(set(t)) != len(t) or not all(
+            isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < game.k
+            for i in t):
+        raise ConditionError(f"support {t} must list distinct strategies "
+                             f"in 0..{game.k - 1}")
+    return _support_check(game, t).point
 
 
 def strict_conventions(game: Game) -> list[bool]:

@@ -21,39 +21,16 @@ import numpy as np
 from .chain import (
     CostRule,
     Move,
+    Path,
     State,
     apply_move,
     convention_state,
     in_basin,
-    move_between,
     path_cost,
     payoff_vector,
 )
 from .errors import ConditionError, LdlError
 from .games import NEAR_TIE, OnePopGame
-
-
-@dataclass(frozen=True)
-class Path:
-    """An adjacency-checked sequence of states."""
-
-    states: tuple
-
-    def __post_init__(self):
-        states = tuple(tuple(s) if not isinstance(s, tuple) else s for s in self.states)
-        object.__setattr__(self, "states", states)
-        for x, y in zip(states, states[1:]):
-            move_between(x, y)  # raises AdjacencyError on a broken link
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def moves(self) -> tuple[Move, ...]:
-        return tuple(move_between(x, y) for x, y in zip(self.states, self.states[1:]))
-
-    def cost(self, game, rule: CostRule = CostRule.LOGIT) -> float:
-        return path_cost(game, rule, self.states)
 
 
 @dataclass(frozen=True)
@@ -79,17 +56,14 @@ class BlockSpec:
     def total_moves(self) -> int:
         return sum(self.counts)
 
-    def realize(self, k: int, n: int, mbar: int) -> tuple[State, ...]:
-        """The state sequence the blocks induce starting from the convention."""
+    def realize(self, k: int, n: int, mbar: int) -> Path:
+        """The path the blocks induce starting from the convention."""
         if self.total_moves > n:
             raise ConditionError("block path moves more agents than exist")
-        state = tuple(n if i == mbar else 0 for i in range(k))
-        out = [state]
+        moves = []
         for tgt, cnt in zip(self.targets, self.counts):
-            for _ in range(cnt):
-                state = apply_move(state, Move(mbar, tgt))
-                out.append(state)
-        return tuple(out)
+            moves += [Move(mbar, tgt)] * cnt
+        return Path.walk(tuple(n if i == mbar else 0 for i in range(k)), moves)
 
 
 def convention_of(state: State) -> int:
@@ -115,13 +89,11 @@ def cp1_delta(game: OnePopGame, x: State, mbar: int, i: int, k: int, l: int) -> 
     if i == mbar or k in (i, mbar) or l in (i, mbar):
         raise ConditionError("indices must satisfy i != mbar, k,l not in {i, mbar}")
     n = sum(x)
-    for probe in (x, apply_move(x, Move(mbar, k)), apply_move(x, Move(i, k))):
+    gamma1 = Path.walk(x, (Move(mbar, k), Move(i, l)))
+    gamma2 = Path.walk(x, (Move(i, k), Move(mbar, l)))
+    for probe in (x, gamma1.states[1], gamma2.states[1]):
         if not in_basin(game, probe, mbar):
             raise ConditionError("comparison states must lie in the basin")
-    gamma1 = Path((x, apply_move(x, Move(mbar, k)),
-                   apply_move(apply_move(x, Move(mbar, k)), Move(i, l))))
-    gamma2 = Path((x, apply_move(x, Move(i, k)),
-                   apply_move(apply_move(x, Move(i, k)), Move(mbar, l))))
     delta = gamma2.cost(game) - gamma1.cost(game)
     a = game.payoffs
     closed = (a[mbar, mbar] - a[l, mbar] - a[mbar, i] + a[l, i]) / n
@@ -148,13 +120,11 @@ def cp2_direct(game: OnePopGame, x: State, mbar: int, i: int, j: int) -> float:
 
     Requires x and both intermediate states to lie in the basin.
     """
-    xi = apply_move(x, Move(mbar, i))
-    xj = apply_move(x, Move(mbar, j))
-    for probe in (x, xi, xj):
+    gamma1 = Path.walk(x, (Move(mbar, i), Move(mbar, j)))
+    gamma2 = Path.walk(x, (Move(mbar, j), Move(mbar, i)))
+    for probe in (x, gamma1.states[1], gamma2.states[1]):
         if not in_basin(game, probe, mbar):
             raise ConditionError("comparison states must lie in the basin")
-    gamma1 = Path((x, xi, apply_move(xi, Move(mbar, j))))
-    gamma2 = Path((x, xj, apply_move(xj, Move(mbar, i))))
     return gamma2.cost(game) - gamma1.cost(game)
 
 
@@ -188,21 +158,11 @@ def build_exchange_triple(
     earlier run back.  eta*(I' - I) + rho*(I'' - I) = 0 whenever every
     visited state stays in the basin.
     """
-
-    def extend(state, moves):
-        seq = [state]
-        for mv in moves:
-            state = apply_move(state, mv)
-            seq.append(state)
-        return seq
-
     run = [Move(mbar, k)] * eta
     run2 = [Move(mbar, k)] * rho
     middle = list(middle)
-    gamma = Path(tuple(extend(x, run + middle + run2)))
-    gamma_prime = Path(tuple(extend(x, run + run2 + middle)))
-    gamma_second = Path(tuple(extend(x, middle + run + run2)))
-    return gamma, gamma_prime, gamma_second
+    return (Path.walk(x, run + middle + run2), Path.walk(x, run + run2 + middle),
+            Path.walk(x, middle + run + run2))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +187,14 @@ def is_escape_path(game: OnePopGame, states: Sequence[State], mbar: int) -> bool
     )
 
 
-def _merge_runs_once(game: OnePopGame, states: list, mbar: int) -> Optional[list]:
-    """One exchange-identity rewrite toward block form; None when already there."""
-    moves = [move_between(a, b) for a, b in zip(states, states[1:])]
-    targets = [mv.dst for mv in moves]
+def _merge_runs_once(game: OnePopGame, path: Path, mbar: int) -> Optional[Path]:
+    """One exchange-identity rewrite toward block form; None when already there.
+
+    Both merged orders permute the path's status-quo moves, so each is
+    feasible and ends where the path ends, outside the basin.  Each is cut
+    at its first exit, and the cheaper is returned (the earlier on a tie).
+    """
+    targets = [mv.dst for mv in path.moves]
     runs = []  # (target, start, length)
     for t, tgt in enumerate(targets):
         if runs and runs[-1][0] == tgt and runs[-1][1] + runs[-1][2] == t:
@@ -255,26 +219,12 @@ def _merge_runs_once(game: OnePopGame, states: list, mbar: int) -> Optional[list
     merged_early = prefix + [tgt] * (eta + rho) + middle + suffix
     merged_late = prefix + middle + [tgt] * (eta + rho) + suffix
 
-    def realize(seq):
-        out = [states[0]]
-        s = states[0]
-        for t in seq:
-            s = apply_move(s, Move(mbar, t))
-            out.append(s)
-        return first_exit_prefix(game, out, mbar)
-
-    cand = []
+    cands = []
     for seq in (merged_early, merged_late):
-        try:
-            real = realize(seq)
-        except Exception:
-            continue
-        if is_escape_path(game, real, mbar):
-            cand.append((path_cost(game, CostRule.LOGIT, real), real))
-    if not cand:
-        return None
-    cand.sort(key=lambda cr: cr[0])
-    return cand[0][1]
+        walked = Path.walk(path.states[0], [Move(mbar, t) for t in seq])
+        exit_at = len(first_exit_prefix(game, walked.states, mbar)) - 1
+        cands.append(Path.walk(path.states[0], walked.moves[:exit_at]))
+    return min(cands, key=lambda p: path_cost(game, CostRule.LOGIT, p))
 
 
 def straighten(game: OnePopGame, path: Path) -> Path:
@@ -292,11 +242,12 @@ def straighten(game: OnePopGame, path: Path) -> Path:
     mbar = convention_of(states[0])
     if not is_escape_path(game, states, mbar):
         raise ConditionError("input path does not escape the basin")
-    original_cost = path_cost(game, CostRule.LOGIT, states)
+    original_cost = path_cost(game, CostRule.LOGIT, path)
 
     # Phase one: only moves out of mbar remain afterwards.
     while True:
-        moves = [move_between(a, b) for a, b in zip(states, states[1:])]
+        current = Path(states)
+        moves = current.moves
         idx = next(
             (t for t in range(len(moves) - 1, -1, -1) if moves[t].src != mbar), None
         )
@@ -325,24 +276,16 @@ def straighten(game: OnePopGame, path: Path) -> Path:
             raise LdlError("straightening lost the escape property")
 
     # Phase two: collect identical moves into consecutive runs.
-    while True:
-        merged = _merge_runs_once(game, states, mbar)
-        if merged is None:
-            break
-        if path_cost(game, CostRule.LOGIT, merged) > path_cost(
-            game, CostRule.LOGIT, states
-        ) + NEAR_TIE:
+    while (merged := _merge_runs_once(game, current, mbar)) is not None:
+        if merged.cost(game) > current.cost(game) + NEAR_TIE:
             break   # an early basin exit broke the identity
-        states = merged
+        current = merged
 
-    if not _is_block_sequence([move_between(a, b).dst
-                               for a, b in zip(states, states[1:])]):
+    if not _is_block_sequence([mv.dst for mv in current.moves]):
         raise LdlError("straightening left a path that is not in block form")
-
-    result = Path(tuple(states))
-    if result.cost(game) > original_cost + NEAR_TIE:
+    if current.cost(game) > original_cost + NEAR_TIE:
         raise LdlError("straightening increased the path cost")
-    return result
+    return current
 
 
 def _is_block_sequence(seq: Sequence[int]) -> bool:
@@ -417,8 +360,8 @@ def _run_exit(game: OnePopGame, state: State, mbar: int, tgt: int) -> Optional[i
 
 def cheapest_block_path(
     game: OnePopGame, n: int, mbar: int
-) -> Optional[tuple[float, BlockSpec, tuple[State, ...]]]:
-    """The cheapest straight escape path from ``mbar``: (cost, spec, states).
+) -> Optional[tuple[float, BlockSpec, Path]]:
+    """The cheapest straight escape path from ``mbar``: (cost, spec, path).
 
     Each spec of ``enumerate_block_paths`` is priced in closed form by
     ``run_cost_closed_form``, exact since every state before the last lies
@@ -435,8 +378,8 @@ def cheapest_block_path(
     for price, spec in priced:
         if price > lo + NEAR_TIE:
             continue
-        states = spec.realize(game.k, n, mbar)
-        cost = path_cost(game, CostRule.LOGIT, states)
+        path = spec.realize(game.k, n, mbar)
+        cost = path_cost(game, CostRule.LOGIT, path)
         if best is None or cost < best[0]:
-            best = (cost, spec, states)
+            best = (cost, spec, path)
     return best

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ldl.chain
 from ldl import (
     ConditionError,
     CostRule,
@@ -12,6 +14,7 @@ from ldl import (
     InfeasibleMoveError,
     Move,
     OnePopGame,
+    Path,
     TwoPopGame,
     UnsupportedRuleError,
     apply_move,
@@ -189,6 +192,75 @@ def test_path_cost_best_response_moves_free():
 def test_path_cost_broken_adjacency():
     with pytest.raises(AdjacencyError):
         path_cost(TECH, CostRule.LOGIT, [(10, 0, 0), (8, 1, 1)])
+
+
+WALK_GAMES = ([TWO_STRATEGY, TECH, DECIMAL_TIE] + random_condition_a_games(2, seed=81)
+              + random_condition_a_games(1, seed=82, k=4)
+              + [TWO_POP_2X2, ndg_build(Frontier(1, 3, 0.5), 4)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_walk_is_the_path_of_its_states(data):
+    # A walk keeps the moves it applied; building the path from its states
+    # derives the same moves, and both are priced alike under every rule.
+    game = data.draw(st.sampled_from(WALK_GAMES))
+    n = data.draw(st.integers(1, 8))
+
+    def counts():
+        agents = data.draw(st.lists(st.integers(0, game.k - 1), min_size=n, max_size=n))
+        return tuple(agents.count(i) for i in range(game.k))
+
+    start = counts() if game.populations == (None,) else (counts(), counts())
+    state, moves = start, []
+    for _ in range(data.draw(st.integers(0, 12))):
+        pop = data.draw(st.sampled_from(game.populations))
+        own = state if pop is None else state[0 if pop == "alpha" else 1]
+        src = data.draw(st.sampled_from([i for i in range(game.k) if own[i] > 0]))
+        dst = data.draw(st.sampled_from([j for j in range(game.k) if j != src]))
+        moves.append(Move(src, dst, pop))
+        state = apply_move(state, moves[-1])
+    walk = Path.walk(start, moves)
+    built = Path(walk.states)
+    assert (walk.states, walk.moves) == (built.states, built.moves)
+    assert (len(walk), walk.states[-1]) == (len(moves) + 1, state)
+    for rule in CostRule:
+        if rule is CostRule.INTENTIONAL and isinstance(game, OnePopGame):
+            continue
+        assert path_cost(game, rule, walk) == path_cost(game, rule, walk.states)
+
+
+def test_walk_refuses_self_and_infeasible_moves():
+    with pytest.raises(AdjacencyError):
+        Path.walk((3, 0), [Move(0, 1), Move(1, 1)])
+    with pytest.raises(AdjacencyError):
+        Path.walk(((1, 0), (1, 0)), [Move(0, 0, "beta")])
+    with pytest.raises(InfeasibleMoveError):
+        Path.walk((3, 0), [Move(1, 0)])
+    with pytest.raises(InfeasibleMoveError):
+        Path.walk(((1, 0), (0, 1)), [Move(0, 1, "beta")])
+    with pytest.raises(InfeasibleMoveError):   # -1 would wrap to strategy 1
+        Path.walk((3, 0), [Move(0, -1)])
+    # a pop tag that does not fit the state ("gamma" was applied as beta)
+    for start, mv in ((((2, 0), (2, 0)), Move(0, 1, "gamma")),
+                      (((2, 0), (2, 0)), Move(0, 1)), ((2, 0), Move(0, 1, "alpha"))):
+        with pytest.raises(InfeasibleMoveError):
+            Path.walk(start, [mv])
+
+
+def test_reduced_witness_is_walked_and_priced_without_deriving_moves(monkeypatch):
+    def refuse(x, y):
+        raise AssertionError("a move was derived from two states")
+
+    monkeypatch.setattr(ldl.chain, "move_between", refuse)
+    res = exit_reduced(TECH, 50, 0)
+    realized = res.block.realize(TECH.k, 50, 0)
+    assert realized == res.witness
+    assert path_cost(TECH, CostRule.LOGIT, res.witness) == res.cost
+    with pytest.raises(AssertionError):
+        Path(res.witness.states)  # the patch is live
+    monkeypatch.undo()
+    assert path_cost(TECH, CostRule.LOGIT, res.witness.states) == res.cost
 
 
 def test_move_between_two_pop():

@@ -63,6 +63,7 @@ def test_validate_non_coordination_game_fails(tmp_path, capsys):
     {"type": "one_population", "payoffs": [[1, 2], [3]]},
     {"type": "one_population", "payoffs": "abc"},
     {"type": "two_population", "alpha": [[2, 0], [0, 1]], "beta": [[1, 0], ["x", 2]]},
+    {"type": "one_population", "payoffs": [["2", "0"], [True, "1e1"]]},
 ])
 def test_validate_malformed_payoffs_is_one_line_exit_2(tmp_path, capsys, doc):
     # These ended in a raw numpy ValueError traceback.

@@ -14,12 +14,13 @@ from ldl import (
     oblique_cost,
     omega,
     pairwise_escape_term,
+    skew,
     straight_cost,
     tech_game,
     transition_cost_limit_3,
 )
 from ldl.chain import path_cost, CostRule
-from ldl.continuum import co_com_gap, in_closed_basin
+from ldl.continuum import in_closed_basin
 from ldl.stability import transition_cost_bruteforce
 from gamegen import ROUTED, TECH, TECH_SKEWED, TWO_STRATEGY
 
@@ -239,7 +240,7 @@ def test_route_comparison_tracks_the_asymmetry_sign():
     assert all(in_closed_basin(ROUTED, 0, x) for x in (r, p, q))
     lhs = straight_cost(ROUTED, 0, r, q)
     rhs = straight_cost(ROUTED, 0, r, p) + oblique_cost(ROUTED, 0, p, q, a, b)
-    assert co_com_gap(ROUTED, 0, 1, 2) > 0
+    assert skew(ROUTED, 0, 2, 1) > 0
     assert lhs > rhs
 
     perm = [0, 2, 1]
@@ -248,5 +249,5 @@ def test_route_comparison_tracks_the_asymmetry_sign():
     assert all(in_closed_basin(flipped, 0, x) for x in (r, p, q))
     lhs = straight_cost(flipped, 0, r, q)
     rhs = straight_cost(flipped, 0, r, p) + oblique_cost(flipped, 0, p, q, a, b)
-    assert co_com_gap(flipped, 0, 1, 2) < 0
+    assert skew(flipped, 0, 2, 1) < 0
     assert lhs < rhs

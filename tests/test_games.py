@@ -19,7 +19,6 @@ from ldl import (
     in_basin,
     mbp_margin,
     mixed_equilibrium,
-    mixed_equilibrium_two_pop,
     ndg_build,
     skew,
     tech_game,
@@ -184,12 +183,34 @@ def test_tilde_sets_ndg():
     assert tilde_s(g, m, "beta") == frozenset({0, 1})
 
 
+@pytest.mark.parametrize("support", [(0, 5), (0, -1), (1, 1), (0, 1.5), (0, True)])
+def test_mixed_equilibrium_refuses_a_malformed_support(support):
+    # (0, 5) ended in an IndexError, (0, -1) wrapped to the (0, 2) mixture
+    # and (1, 1) returned None.
+    with pytest.raises(ConditionError, match="distinct strategies"):
+        mixed_equilibrium(TECH, support)
+
+
+@pytest.mark.parametrize("raw", [[["2", "0"], [True, "1e1"]], [[2, 0], [True, 1]],
+                                 [[2, 0], [0, "1"]], np.eye(2, dtype=bool)])
+def test_payoffs_refuse_strings_and_booleans(raw):
+    with pytest.raises(ConditionError, match="array of finite numbers"):
+        OnePopGame(raw)
+
+
+def test_payoffs_accept_numbers_and_numeric_arrays():
+    for raw in ([[2, 0], [0, 1.5]], np.array([[2, 0], [0, 1]]),
+                np.array([[2.0, 0], [0, 1]], dtype=np.float32),
+                [[np.int64(2), np.float64(0)], [0, 1]]):
+        assert OnePopGame(raw).payoffs.dtype == float
+
+
 def test_mixed_equilibrium_two_pop_ndg_pair():
     fr = Frontier(1, 3, 0.5)
     g = ndg_build(fr, 6)
     delta = 0.5
     i, j = 0, 2  # demands 1 and 3
-    pair = mixed_equilibrium_two_pop(g, (i, j))
+    pair = mixed_equilibrium(g, (i, j))
     assert pair is not None
     pa, pb = pair
     # beta indifference pins alpha's mixture; alpha indifference pins beta's
@@ -333,7 +354,7 @@ def test_degenerate_side_is_reported_before_an_absent_one():
         (status,) = {validate_two_pop(game, 0).supports_ok[-1].status,
                      reference_solve_support_two_pop(game, (0, 1))[0]}
         assert status == "degenerate"
-        assert mixed_equilibrium_two_pop(game, (0, 1)) is None
+        assert mixed_equilibrium(game, (0, 1)) is None
 
 
 def _outcome(fn, *args):

@@ -376,7 +376,7 @@ def test_block_enumeration_count_tech_n6():
     assert naive_blocky_escape_count(TECH, 6, 0) == 7
     # every spec realizes to a genuine escape path
     for spec in specs:
-        states = spec.realize(3, 6, 0)
+        states = spec.realize(3, 6, 0).states
         assert all(in_basin(TECH, s, 0) for s in states[:-1])
         assert not in_basin(TECH, states[-1], 0)
 
@@ -392,7 +392,7 @@ def test_block_enumeration_two_strategies_single_run():
     specs = list(enumerate_block_paths(TWO_STRATEGY, 6, 0))
     assert specs == [BlockSpec((1,), (5,))]
     # the run stops one past the weak-inequality boundary
-    states = specs[0].realize(2, 6, 0)
+    states = specs[0].realize(2, 6, 0).states
     assert states[-1] == (1, 5)
 
 
@@ -443,7 +443,7 @@ def reference_exit_reduced(game, n, mbar):
     """Re-price every spec with ``path_cost``; the first strict minimum wins."""
     best = None
     for spec in recursive_block_paths(game, n, mbar):
-        states = spec.realize(game.k, n, mbar)
+        states = spec.realize(game.k, n, mbar).states
         c = path_cost(game, CostRule.LOGIT, states)
         if best is None or c < best[0]:
             best = (c, spec, states)
