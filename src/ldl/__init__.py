@@ -77,7 +77,6 @@ from .paths import (
 )
 from .stability import (
     ArborescenceResult,
-    RadiusMatrix,
     StabilityReport,
     arborescence_root,
     beta_ladder_trace,

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConditionError
-from .games import EQ_TOL, NEAR_TIE
+from .games import EQ_TOL, NEAR_TIE, is_number
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ MAX_GRID = 100_000
 
 
 def _grid_size(frontier: Frontier, delta: float) -> int:
-    if not (math.isfinite(delta) and delta > 0):
-        raise ConditionError(f"delta must be positive and finite, got {delta}")
+    if not (is_number(delta) and math.isfinite(delta) and delta > 0):
+        raise ConditionError(f"delta must be positive and finite, got {delta!r}")
     L = frontier.s_bar / delta
     if abs(L - round(L)) > NEAR_TIE or round(L) < 3:
         raise ConditionError("delta must divide s_bar into at least 3 cells")

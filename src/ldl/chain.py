@@ -25,7 +25,7 @@ from .errors import (
     InfeasibleMoveError,
     UnsupportedRuleError,
 )
-from .games import Game, OnePopGame, TwoPopGame, check_convention
+from .games import Game, OnePopGame, TwoPopGame, check_convention, is_number
 
 State = tuple  # tuple[int, ...] (one-pop) or (tuple[int, ...], tuple[int, ...])
 
@@ -114,7 +114,7 @@ def move_between(x: State, y: State) -> Move:
 
 def check_population(n: int, what: str = "population size n") -> int:
     """Refuse a bool, a non-integer, or below 1; return n as a Python int."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    if not is_number(n, numbers.Integral):
         raise ConditionError(f"{what}={n!r} must be an integer")
     if n < 1:
         raise ConditionError(f"{what}={n} must be at least 1")
@@ -278,7 +278,7 @@ def _choice_probabilities(costs: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _check_beta(beta: float) -> None:
-    if not np.isfinite(beta) or beta < 0:
+    if not (is_number(beta) and math.isfinite(beta) and beta >= 0):
         raise ConditionError("beta must be finite and nonnegative")
 
 

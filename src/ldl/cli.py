@@ -248,35 +248,30 @@ def cmd_exit(args) -> int:
     return 0
 
 
+def _pairs(matrix, cast) -> list[tuple]:
+    """The off-diagonal entries of a k x k matrix as 1-based (i, j, value) rows."""
+    k = len(matrix)
+    return [(i + 1, j + 1, cast(matrix[i][j]))
+            for i in range(k) for j in range(k) if i != j]
+
+
 def cmd_stability(args) -> int:
     game = _load_game(args.game)
     rule = RULES[args.rule]
     guardrail = _guardrail()
-    rm = stability.radius_matrix(game, rule)
-    report = stability.maxmin_test_matrix(rm.values)
-    k = game.k
+    oracle_n = None
+    if args.oracle:
+        if not args.n:
+            raise ConditionError("--oracle needs --n")
+        oracle_n = _parse_ints(args.n, "--n")[0]
+    analysis = stability.resolve_stability(game, rule, oracle_n=oracle_n,
+                                           guardrail=guardrail)
+    report = analysis.report
     sections = [
-        Section(
-            "radius",
-            ["i", "j", "value"],
-            [
-                (i + 1, j + 1, float(rm.values[i, j]))
-                for i in range(k)
-                for j in range(k)
-                if i != j
-            ],
-            provenance="closed-form",
-        ),
-        Section(
-            "incidence",
-            ["i", "j", "value"],
-            [
-                (i + 1, j + 1, int(v))
-                for i, row in enumerate(stability.incidence(rm.values))
-                for j, v in enumerate(row)
-                if i != j
-            ],
-        ),
+        Section("radius", ["i", "j", "value"], _pairs(analysis.radius, float),
+                provenance="closed-form"),
+        Section("incidence", ["i", "j", "value"],
+                _pairs(stability.incidence(analysis.radius), int)),
         Section(
             "maxmin",
             ["field", "value"],
@@ -290,42 +285,20 @@ def cmd_stability(args) -> int:
             ],
         ),
     ]
-    stable = report.stable
-    if args.oracle:
-        if not args.n:
-            raise ConditionError("--oracle needs --n")
-        n = _parse_ints(args.n, "--n")[0]
-        costs = stability.transition_cost_matrix(game, n, rule, guardrail)
-        roots = stability.arborescence_root(costs)
-        sections.append(
-            Section(
-                "oracle_costs",
-                ["i", "j", "value"],
-                [
-                    (i + 1, j + 1, float(costs[i, j]))
-                    for i in range(k)
-                    for j in range(k)
-                    if i != j
-                ],
-                provenance=f"oracle n={n}",
-            )
-        )
-        sections.append(
-            Section(
-                "arborescence",
-                ["field", "value"],
-                [
-                    ("roots", "+".join(str(r + 1) for r in roots.roots)),
-                    ("method", roots.method),
-                ],
-            )
-        )
-        if stable is None and len(roots.roots) == 1:
-            stable = roots.roots[0]
+    tree = analysis.oracle_tree
+    if tree is not None:
+        sections.append(Section("oracle_costs", ["i", "j", "value"],
+                                _pairs(analysis.oracle_costs, float),
+                                provenance=f"oracle n={oracle_n}"))
+        sections.append(Section("arborescence", ["field", "value"], [
+            ("roots", "+".join(str(r + 1) for r in tree.roots)),
+            ("method", tree.method),
+        ]))
     if args.invariant:
         if not args.n or not args.beta:
             raise ConditionError("--invariant needs --n and --beta")
-        target = stable if args.convention is None else args.convention - 1
+        target = (analysis.stable if args.convention is None
+                  else args.convention - 1)
         if target is None:
             raise ConditionError(
                 "no stable candidate to trace; pass --convention explicitly"

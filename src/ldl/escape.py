@@ -267,6 +267,8 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
     a path with two targets can then be cheaper, and so is an n above
     ``ONE_POP_SEARCH_CAP``, whose witness would not fit in memory.
     """
+    if isinstance(game, TwoPopGame):
+        raise ConditionError("the reduced search covers one-population games only")
     check_convention(game, mbar)
     n = check_population(n)
     if n > ONE_POP_SEARCH_CAP:

@@ -40,6 +40,12 @@ NEAR_TIE = 1e-9       # two computed costs or splits equal up to rounding
 FULL_SUPPORT_SCAN_MAX_K = 8   # beyond this the support scan is truncated
 
 
+def is_number(x, kind: type = numbers.Real) -> bool:
+    """``x`` is a ``kind`` (``numbers.Real`` or ``numbers.Integral``); a bool
+    never is, nor is a str or None."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def _payoff_matrix(raw, name: str) -> np.ndarray:
     """``raw`` as a read-only square float matrix of finite entries; a
     string or boolean entry is refused, not converted."""
@@ -47,8 +53,7 @@ def _payoff_matrix(raw, name: str) -> np.ndarray:
                                "in rows of equal length")
     if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf"):
         cells = np.array(raw, dtype=object).flat
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                   for x in cells):
+        if not all(is_number(x) for x in cells):
             raise malformed
     try:
         a = np.array(raw, dtype=float)
@@ -275,8 +280,7 @@ def mixed_equilibrium(game: Game, support: Sequence[int]) -> Optional[object]:
     if not t:
         raise ConditionError("support must be nonempty")
     if len(set(t)) != len(t) or not all(
-            isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < game.k
-            for i in t):
+            is_number(i, numbers.Integral) and 0 <= i < game.k for i in t):
         raise ConditionError(f"support {t} must list distinct strategies "
                              f"in 0..{game.k - 1}")
     return _support_check(game, t).point
@@ -319,7 +323,10 @@ def validate_one_pop(game: OnePopGame) -> ConditionReport:
 
 
 def check_convention(game: Game, m: int) -> None:
-    """Refuse a convention index outside 0..k-1; the message is 1-based."""
+    """Refuse a convention index that is not an integer in 0..k-1; the
+    message is 1-based."""
+    if not is_number(m, numbers.Integral):
+        raise ConditionError(f"convention index {m!r} must be an integer")
     if not 0 <= m < game.k:
         raise ConditionError(f"convention {m + 1} outside 1..{game.k} (1-based)")
 

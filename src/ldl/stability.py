@@ -25,35 +25,17 @@ from .escape import (
     escape_term_two_pop,
     pairwise_escape_term,
 )
-from .games import NEAR_TIE, TwoPopGame
+from .games import NEAR_TIE, TwoPopGame, is_number
 
 EXHAUSTIVE_TREE_CAP = 9
 TREE_METHODS = ("auto", "exhaustive", "edmonds")
 BETA_CAP = 64.0
 
 
-@dataclass(frozen=True)
-class RadiusMatrix:
-    """Limit escape costs between ordered convention pairs.
-
-    ``values[i, j]`` is the closed-form cost of tipping convention i toward
-    j; the diagonal is NaN.
-    """
-
-    values: np.ndarray
-    rule: CostRule
-    provenance: str = "closed-form"
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
-
-    def radius(self, i: int) -> float:
-        row = np.delete(self.values[i], i)
-        return float(row.min())
-
-
-def radius_matrix(game, rule: CostRule = CostRule.LOGIT) -> RadiusMatrix:
+def radius_matrix(game, rule: CostRule = CostRule.LOGIT) -> np.ndarray:
+    """Limit escape costs between ordered convention pairs, read-only:
+    ``[i, j]`` is the closed-form cost of tipping convention i toward j,
+    and the diagonal is NaN."""
     k = game.k
     values = np.full((k, k), np.nan)
     two_pop = isinstance(game, TwoPopGame)
@@ -67,7 +49,7 @@ def radius_matrix(game, rule: CostRule = CostRule.LOGIT) -> RadiusMatrix:
                 values[m, j] = (escape_term_two_pop(game, m, j, rule)[0] if two_pop
                                 else pairwise_escape_term(game, m, j, rule))
     values.flags.writeable = False
-    return RadiusMatrix(values, rule)
+    return values
 
 
 def incidence(values: np.ndarray, tol: float = NEAR_TIE) -> np.ndarray:
@@ -125,7 +107,21 @@ class StabilityReport:
         return self.stable is not None
 
 
+def _cost_matrix(values) -> np.ndarray:
+    """``values`` as a float array, refused unless it is square over k >= 2
+    conventions and finite off its diagonal (which is never read)."""
+    values = np.asarray(values, dtype=float)
+    k = values.shape[0] if values.ndim else 0
+    if values.shape != (k, k) or k < 2:
+        raise ConditionError(f"a cost matrix must be k x k with k >= 2, "
+                             f"got shape {values.shape}")
+    if not np.isfinite(values[~np.eye(k, dtype=bool)]).all():
+        raise ConditionError("a cost matrix must be finite off its diagonal")
+    return values
+
+
 def maxmin_test_matrix(values: np.ndarray) -> StabilityReport:
+    values = _cost_matrix(values)
     k = values.shape[0]
     radii = tuple(
         float(min(values[i, j] for j in range(k) if j != i)) for i in range(k)
@@ -154,7 +150,7 @@ def maxmin_test(game, rule: CostRule = CostRule.LOGIT) -> StabilityReport:
     Inconclusive reports (ties, or neither test holding) leave ``stable``
     unset; resolve them with the oracle operations below instead of guessing.
     """
-    return maxmin_test_matrix(radius_matrix(game, rule).values)
+    return maxmin_test_matrix(radius_matrix(game, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +292,8 @@ class ArborescenceResult:
 
 
 def arborescence_root(values: np.ndarray, method: str = "auto") -> ArborescenceResult:
-    """Roots of the cheapest spanning in-trees of a complete cost matrix.
+    """Roots of the cheapest spanning in-trees of a complete cost matrix
+    (k x k, k >= 2, finite off the diagonal, or refused).
 
     ``method`` is "exhaustive" (refused above 9 vertices), "edmonds", or
     "auto" (exhaustive up to 6 vertices, contraction beyond); any other
@@ -305,7 +302,7 @@ def arborescence_root(values: np.ndarray, method: str = "auto") -> ArborescenceR
     if method not in TREE_METHODS:
         raise ConditionError(f"unknown tree method {method!r}; "
                              f"expected one of {', '.join(TREE_METHODS)}")
-    values = np.asarray(values, dtype=float)
+    values = _cost_matrix(values)
     k = values.shape[0]
     if method == "auto":
         method = "exhaustive" if k <= 6 else "edmonds"
@@ -445,7 +442,7 @@ def beta_ladder_trace(
     ladder before its first rung or never.  A refused input raises rather
     than ending the ladder.
     """
-    if not (math.isfinite(beta0) and beta0 > 0):
+    if not (is_number(beta0) and math.isfinite(beta0) and beta0 > 0):
         raise ConditionError(f"beta0 must be finite and positive, got {beta0!r}")
     if not beta_cap >= beta0:
         raise ConditionError(f"beta_cap must be at least beta0={beta0!r}, "
@@ -475,9 +472,9 @@ def beta_ladder_trace(
 @dataclass(frozen=True)
 class StabilityAnalysis:
     report: StabilityReport
-    radius: RadiusMatrix
+    radius: np.ndarray
     oracle_costs: Optional[np.ndarray] = None
-    oracle_roots: Optional[tuple[int, ...]] = None
+    oracle_tree: Optional[ArborescenceResult] = None
     measure_trace: Optional[list] = None
     stable: Optional[int] = None
 
@@ -489,23 +486,19 @@ def resolve_stability(
     measure_n: Optional[int] = None,
     guardrail: Optional[int] = None,
 ) -> StabilityAnalysis:
-    """Maxmin test first; fall back to the exact-cost tree oracle if asked.
-
-    When the maxmin test is inconclusive and ``oracle_n`` is given, the
-    exact transition costs at that population size decide via the minimal
-    rooted tree.
-    """
-    rm = radius_matrix(game, rule)
-    report = maxmin_test_matrix(rm.values)
-    oracle_costs = None
-    oracle_roots = None
+    """The stochastically stable convention: the maxmin test on the radius
+    matrix decides first, else the unique root of the least-cost rooted tree
+    over the exact transition costs at ``oracle_n``, when it is given."""
+    radius = radius_matrix(game, rule)
+    report = maxmin_test_matrix(radius)
+    oracle_costs = oracle_tree = None
     stable = report.stable
     if oracle_n is not None:
         oracle_costs = transition_cost_matrix(game, oracle_n, rule, guardrail)
-        oracle_roots = arborescence_root(oracle_costs).roots
-        if stable is None and len(oracle_roots) == 1:
-            stable = oracle_roots[0]
+        oracle_tree = arborescence_root(oracle_costs)
+        if stable is None and len(oracle_tree.roots) == 1:
+            stable = oracle_tree.roots[0]
     trace = None
     if measure_n is not None and stable is not None:
         trace = beta_ladder_trace(game, measure_n, stable, rule)
-    return StabilityAnalysis(report, rm, oracle_costs, oracle_roots, trace, stable)
+    return StabilityAnalysis(report, radius, oracle_costs, oracle_tree, trace, stable)

@@ -202,7 +202,7 @@ def test_criterion_05_stability_consistency():
 
 def test_criterion_06a_radius_minimum_within_5pct():
     rm = radius_matrix(TECH)
-    lo_limit = min(rm.values[0, 1], rm.values[0, 2])
+    lo_limit = min(rm[0, 1], rm[0, 2])
     lo_oracle = min(
         transition_cost_bruteforce(TECH, 60, 0, j).normalized for j in (1, 2)
     )
@@ -238,7 +238,7 @@ def test_criterion_06b_transition_bound_five_over_n():
         a = A[0, 0] - A[j, 0]
         b = a + A[j, j] - A[0, j]
         c = transition_cost_bruteforce(TECH, n, 0, j).normalized
-        gaps[j] = float((c - rm.values[0, j]) * n)
+        gaps[j] = float((c - rm[0, j]) * n)
         bands[j] = (float(a / 2), float(a / 2 + b / (8 * n)))
         ok = bool(ok and bands[j][0] <= gaps[j] <= bands[j][1])
     check(

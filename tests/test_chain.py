@@ -19,8 +19,10 @@ from ldl import (
     UnsupportedRuleError,
     apply_move,
     basin,
+    beta_ladder_trace,
     convention_state,
     exit_bruteforce,
+    exit_limit_one_pop,
     exit_reduced,
     in_basin,
     invariant_measure,
@@ -29,6 +31,7 @@ from ldl import (
     path_cost,
     payoff,
     payoff_vector,
+    stable_division,
     step_cost,
     transition_matrix,
     transition_probability,
@@ -553,3 +556,27 @@ def test_enumeration_count_and_colex_rank():
         assert all(sum(s) == n for s in states)
         assert [comp_rank(s) for s in states] == list(range(len(states)))
         assert comp_rank(np.array(states)).tolist() == list(range(len(states)))
+
+
+# Each entry point that takes an index, a beta or a delta, with the start of
+# the message it refuses a value of the wrong type with.
+TYPED_ENTRIES = {
+    "convention": (lambda v: exit_limit_one_pop(TECH, v), "convention index"),
+    "oracle convention": (lambda v: exit_bruteforce(TECH, 4, v), "convention index"),
+    "beta": (lambda v: invariant_measure(TWO_STRATEGY, 4, v), "beta must"),
+    "beta0": (lambda v: beta_ladder_trace(TWO_STRATEGY, 4, 0, beta0=v), "beta0 must"),
+    "delta": (lambda v: stable_division(Frontier(1, 3, 0.5), v), "delta must"),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    *((entry, value) for entry in TYPED_ENTRIES for value in ("1", None, True)),
+    ("convention", 1.0),
+    ("oracle convention", np.float64(0)),
+])
+def test_entry_points_refuse_a_value_of_the_wrong_type(entry, value):
+    # A float or bool index once ended in a numpy IndexError, a str or None
+    # beta or delta in a TypeError, and beta=True was read as 1.0.
+    call, message = TYPED_ENTRIES[entry]
+    with pytest.raises(ConditionError, match=message):
+        call(value)

@@ -7,9 +7,16 @@ import warnings
 
 import pytest
 
-from ldl import Frontier, OnePopGame, game_from_json, game_to_json, ndg_build
+from ldl import (
+    Frontier,
+    OnePopGame,
+    game_from_json,
+    game_to_json,
+    ndg_build,
+    resolve_stability,
+)
 from ldl.cli import main
-from gamegen import TECH, TWO_STRATEGY
+from gamegen import TECH, TECH_UNEVEN, TWO_STRATEGY
 
 
 @pytest.fixture()
@@ -329,6 +336,34 @@ def test_stability_oracle_roots(two_path, capsys):
     roots = [r for r in doc["arborescence"]["rows"] if r["field"] == "roots"]
     assert roots[0]["value"] == "1"
     assert doc["oracle_costs"]["provenance"] == "oracle n=12"
+
+
+# maxmin is inconclusive on the first game, so the tree's unique root
+# (convention 2) decides; on TECH_UNEVEN maxmin decides.
+@pytest.mark.parametrize("game, n", [
+    (OnePopGame([[20, -1, -2, 0], [0, 18, 3, -2], [2, -3, 18, 2], [-2, 1, 0, 15]]), 12),
+    (TECH_UNEVEN, 30),
+])
+def test_stability_verdict_is_the_library_verdict(game, n, tmp_path, capsys):
+    p = tmp_path / "game.json"
+    p.write_text(game_to_json(game))
+    code, out, _ = run(capsys, "stability", str(p), "--oracle", "--n", str(n),
+                       "--invariant", "--beta", "1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    analysis = resolve_stability(game, oracle_n=n)
+    assert (analysis.report.stable is None) == (n == 12) and analysis.stable is not None
+    assert [(r["i"], r["j"], r["value"]) for r in doc["oracle_costs"]["rows"]] == [
+        (i + 1, j + 1, analysis.oracle_costs[i, j])
+        for i in range(game.k) for j in range(game.k) if i != j
+    ]
+    tree = {r["field"]: r["value"] for r in doc["arborescence"]["rows"]}
+    assert tree == {
+        "roots": "+".join(str(r + 1) for r in analysis.oracle_tree.roots),
+        "method": analysis.oracle_tree.method,
+    }
+    [row] = doc["invariant_mass"]["rows"]
+    assert row["convention"] == analysis.stable + 1
 
 
 def test_bargain_command(capsys):

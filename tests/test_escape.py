@@ -189,6 +189,12 @@ def test_reduced_refuses_a_game_where_two_targets_win():
     assert {mv.dst for mv in res.witness.moves} == {0, 1}
 
 
+def test_reduced_refuses_a_two_population_game():
+    # once a raw AttributeError: a TwoPopGame has no one-population payoffs
+    with pytest.raises(ConditionError, match="one-population"):
+        exit_reduced(ndg_build(Frontier(1, 3, 0.5), 4), 6, 0)
+
+
 # ---------------------------------------------------------------------------
 # One-population limits
 

@@ -32,7 +32,9 @@ from ldl import (
 )
 from ldl.chain import convention_state, path_cost
 from ldl.stability import (
+    TREE_METHODS,
     convention_mass,
+    maxmin_test_matrix,
     cycles,
     _tree_cost_edmonds,
     _tree_cost_exhaustive,
@@ -52,30 +54,30 @@ NDG = ndg_build(Frontier(1, 3, 0.5), 12)  # delta = 0.25, demands 1..11
 
 def test_radius_two_strategy_values():
     rm = radius_matrix(TWO_STRATEGY)
-    assert rm.values[0, 1] == pytest.approx(2 / 3)
-    assert rm.values[1, 0] == pytest.approx(1 / 6)
-    assert math.isnan(rm.values[0, 0])
+    assert rm[0, 1] == pytest.approx(2 / 3)
+    assert rm[1, 0] == pytest.approx(1 / 6)
+    assert math.isnan(rm[0, 0])
 
 
 def test_radius_tech_cyclic_symmetry():
     rm = radius_matrix(TECH)
-    assert rm.values[0, 1] == pytest.approx(3.515625)
-    assert rm.values[0, 2] == pytest.approx(4.515625)
+    assert rm[0, 1] == pytest.approx(3.515625)
+    assert rm[0, 2] == pytest.approx(4.515625)
     # equal benefits make the matrix cyclically symmetric
     for (i, j), (a, b) in (((0, 1), (1, 2)), ((1, 2), (2, 0)), ((0, 2), (1, 0))):
-        assert rm.values[i, j] == pytest.approx(rm.values[a, b])
+        assert rm[i, j] == pytest.approx(rm[a, b])
 
 
 def test_radius_symmetric_game_all_equal():
     g = OnePopGame([[5, 1, 1], [1, 5, 1], [1, 1, 5]])
-    vals = radius_matrix(g).values
+    vals = radius_matrix(g)
     off = vals[~np.isnan(vals)]
     assert np.allclose(off, off[0])
 
 
 def test_incidence_and_unique_cycle_two_strategies():
     rm = radius_matrix(TWO_STRATEGY)
-    inc = incidence(rm.values)
+    inc = incidence(rm)
     assert inc.tolist() == [[0, 1], [1, 0]]
     assert cycles(inc) == [(0, 1)]
 
@@ -112,7 +114,7 @@ def test_ndg_incidence_steps_to_adjacent_conventions():
     panel_b = ndg_build(Frontier(3, 1, 0.5), 10)
     for game in (NDG, panel_b):
         for rule in (CostRule.LOGIT, CostRule.INTENTIONAL):
-            vals = radius_matrix(game, rule).values
+            vals = radius_matrix(game, rule)
             inc = incidence(vals)
             for m in range(game.k):
                 targets = [j for j in range(game.k) if inc[m, j]]
@@ -157,7 +159,7 @@ def test_transition_cost_tech_n60_frozen_values():
 
 def test_transition_cost_converges_to_radius_minimum():
     rm = radius_matrix(TECH)
-    lo_limit = min(rm.values[0, 1], rm.values[0, 2])
+    lo_limit = min(rm[0, 1], rm[0, 2])
     lo_60 = min(
         transition_cost_bruteforce(TECH, 60, 0, j).normalized for j in (1, 2)
     )
@@ -167,7 +169,7 @@ def test_transition_cost_converges_to_radius_minimum():
 def test_transition_cost_upper_bounds():
     # always below the straight-line witness; within 5/n for small payoffs
     for g in (TWO_STRATEGY, ROUTED):
-        rm = radius_matrix(g).values
+        rm = radius_matrix(g)
         for n in (30, 60):
             for i in range(g.k):
                 for j in range(g.k):
@@ -193,7 +195,7 @@ def test_incidence_agreement_radius_vs_oracle():
     # rows whose argmin margin is well separated agree between R and C^(n)
     n = 60
     for g in (TECH, TECH_UNEVEN, ROUTED):
-        rm = radius_matrix(g).values
+        rm = radius_matrix(g)
         cm = transition_cost_matrix(g, n)
         inc_r = incidence(rm)
         inc_c = incidence(cm, tol=1e-9)
@@ -212,7 +214,7 @@ def test_incidence_agreement_radius_vs_oracle():
 
 
 def test_arborescence_two_strategies_picks_cheaper_inflow():
-    vals = radius_matrix(TWO_STRATEGY).values
+    vals = radius_matrix(TWO_STRATEGY)
     res = arborescence_root(vals)
     assert res.roots == (0,)  # tree toward 0 costs C[1,0] = 1/6
 
@@ -242,10 +244,28 @@ def test_arborescence_exhaustive_cap():
 
 
 def test_arborescence_refuses_unknown_methods():
-    vals = radius_matrix(TWO_STRATEGY).values
+    vals = radius_matrix(TWO_STRATEGY)
     for method in ("bogus", "Edmonds", ""):
         with pytest.raises(ConditionError, match="auto, exhaustive, edmonds"):
             arborescence_root(vals, method=method)
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones((2, 3)), "k x k"),
+    (np.ones((1, 1)), "k x k"),
+    (np.ones(3), "k x k"),
+    (np.array([[np.nan, 1, np.nan], [2, np.nan, 3], [1, 2, np.nan]]), "finite"),
+    (np.array([[np.nan, np.inf], [1, np.nan]]), "finite"),
+    (np.array([[np.nan, 1], [-np.inf, np.nan]]), "finite"),
+])
+def test_tree_and_maxmin_refuse_a_malformed_cost_matrix(values, message):
+    # A NaN at [0, 2] once gave roots (1,) and a maxmin "stable 1", and a
+    # 2 x 3 matrix roots (0, 1).
+    for method in TREE_METHODS:
+        with pytest.raises(ConditionError, match=message):
+            arborescence_root(values, method)
+    with pytest.raises(ConditionError, match=message):
+        maxmin_test_matrix(values)
 
 
 def test_maxmin_conclusive_matches_tree_root_seeded_sweep():
@@ -256,7 +276,7 @@ def test_maxmin_conclusive_matches_tree_root_seeded_sweep():
         if rep.stable is None:
             continue
         conclusive += 1
-        roots = arborescence_root(radius_matrix(g).values).roots
+        roots = arborescence_root(radius_matrix(g)).roots
         assert rep.stable in roots
     assert conclusive >= 20
 
@@ -377,8 +397,8 @@ def test_invariant_argmax_is_stable_convention():
 def test_resolve_stability_oracle_fallback():
     analysis = resolve_stability(TECH_UNEVEN, oracle_n=30, measure_n=8)
     assert analysis.stable == 2
-    assert analysis.oracle_roots is not None
-    assert 2 in analysis.oracle_roots
+    assert analysis.oracle_tree is not None
+    assert 2 in analysis.oracle_tree.roots
     assert analysis.measure_trace is not None
     assert analysis.measure_trace[-1][1] > 0.5
 
