@@ -10,6 +10,7 @@ every population size; the limits are their asymptotic value.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -74,27 +75,40 @@ class EscapeResult:
 # The least-cost search behind the oracle and the exact transition costs
 
 
-def _price(game, rule: CostRule, targets, pop: Optional[str], faced: list) -> tuple:
+def _price(game, rule: CostRule, targets, pop: Optional[str], counts) -> tuple:
     """Basin masks (bit p: ``targets[p]`` is a best reply) and move weights,
-    as plain lists, of ``pop``'s revisers facing each of ``faced``, in one
-    vectorized pass.  One population's weights (the faced counts are its
-    own) are a flat row of the moves i -> j != i in canonical order, ``inf``
-    where no agent plays i; two populations' are a cost row per source i,
-    one shared row unless the rule (better reply) reads i."""
+    as plain lists, of ``pop``'s revisers facing each row of the array
+    ``counts``, in one vectorized pass.  One population's weights (the faced
+    counts are its own) are a flat row of the moves i -> j != i in canonical
+    order, ``inf`` where no agent plays i; two populations' are a cost row
+    per source i, one shared row unless the rule (better reply) reads i."""
     k = game.k
-    counts = np.array(faced, dtype=float)
+    counts = np.asarray(counts, dtype=float)
     prod = faced_products(game, pop, counts)
     best = prod[:, list(targets)] >= prod.max(axis=1, keepdims=True)
-    bits = np.array([1 << p for p in range(len(targets))], dtype=object)
-    masks = (best @ bits).tolist()
+    masks = (best @ _bits(len(targets))).tolist()
     pay = prod / counts.sum(axis=1, keepdims=True)
     better = rule is CostRule.BETTER_REPLY
-    costs = np.stack([cost_vector(game, rule, pay, i, pop)
-                      for i in (range(k) if better else range(1))], axis=1)
+    costs = (np.stack([cost_vector(game, rule, pay, i, pop) for i in range(k)], axis=1)
+             if better else cost_vector(game, rule, pay, 0, pop)[:, None])
     if pop is not None:
-        return masks, costs.tolist() if better else [r * k for r in costs.tolist()]
-    costs = np.where(counts[:, :, None] > 0, costs, np.inf)
-    return masks, costs[:, ~np.eye(k, dtype=bool)].tolist()
+        return masks, costs.tolist() if better else [[r] * k for r in costs[:, 0].tolist()]
+    src, dst = np.nonzero(~np.eye(k, dtype=bool))  # the moves i -> j != i, in order
+    moves = costs[:, src if better else 0, dst]
+    return masks, np.where(counts[:, src] > 0, moves, np.inf).tolist()
+
+
+@functools.cache
+def _bits(count: int) -> np.ndarray:
+    """Bit p of a basin mask for each p < ``count``, as Python ints."""
+    return np.array([1 << p for p in range(count)], dtype=object)
+
+
+def _digits(keys: list, radix: int, k: int) -> np.ndarray:
+    """The k digits in radix ``radix`` of each int key, least significant
+    first, as an object array of Python ints: exact past 2**63."""
+    powers = np.array([radix ** i for i in range(k)], dtype=object)
+    return np.array(keys, dtype=object)[:, None] // powers % radix
 
 
 def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
@@ -110,8 +124,8 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     improvements push, so witnesses are deterministic and each state is
     expanded once: a popped entry above its state's distance is stale.  A
     state expanded before its prices has every side (a population and the
-    key of the counts it faces) found since the last batch priced in one
-    ``_price`` pass; one population's prices are dropped once used.  The
+    key of the counts it faces) found since the last batch decoded and
+    priced in one pass; one population's prices are dropped once used.  The
     relax loop needs no test: an ``inf`` weight never relaxes, nor does a
     two-population self-move i -> i, whose shift is 0.
     """
@@ -136,18 +150,16 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     def faced(x):  # the key of the counts each population's revisers face
         return divmod(x, place) if two_pop else (x,)
 
-    def decode(f):  # the counts of one population's key
-        return [f // p % radix for p in powers]
-
     def price():  # every side found since the last batch
-        for pop, known, keys in zip(pops, prices, zip(*map(faced, found))):
+        columns = zip(*map(faced, found)) if two_pop else (found,)
+        for pop, known, keys in zip(pops, prices, columns):
             batch = [f for f in dict.fromkeys(keys) if f not in known]
             if batch:
-                counts = [decode(f) for f in batch]
+                counts = _digits(batch, radix, k)
                 entries = zip(*_price(game, rule, targets, pop, counts))
                 if two_pop:  # with the sources of the population faced
                     entries = ((*e, [i for i, c in enumerate(r) if c])
-                               for e, r in zip(entries, counts))
+                               for e, r in zip(entries, counts.tolist()))
                 known.update(zip(batch, entries))
         found.clear()
 
@@ -184,13 +196,15 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
             runs = ((shifts, weights),)
         hit = (mask ^ flip) & remaining
         if hit:
-            states, y = [], x
+            keys, y = [], x
             while y is not None:
-                states.append(tuple(tuple(decode(f)) for f in reversed(faced(y))))
+                keys += faced(y)
                 y = parent[y]
+            keys.reverse()  # from the start, alpha's key before beta's
+            sides = list(map(tuple, _digits(keys, radix, k).tolist()))
             res = EscapeResult(n=n, convention=start, rule=rule, cost=d,
                                normalized=d / n, witness=Path(tuple(
-                                   s if two_pop else s[0] for s in reversed(states))))
+                                   zip(sides[::2], sides[1::2]) if two_pop else sides)))
             results = [res if hit >> p & 1 else r for p, r in enumerate(results)]
             remaining ^= hit
             if not remaining:
@@ -204,8 +218,9 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
             for s, w in zip(moves, weights):
                 nd = d + w
                 y = x + s
-                if nd < dist.get(y, inf):
-                    if y not in dist:
+                old = dist.get(y, inf)
+                if nd < old:
+                    if old == inf:  # distances are finite, so y is new
                         found.append(y)
                     dist[y] = nd
                     parent[y] = x

@@ -53,7 +53,9 @@ def radius_matrix(game, rule: CostRule = CostRule.LOGIT) -> np.ndarray:
 
 
 def incidence(values: np.ndarray, tol: float = NEAR_TIE) -> np.ndarray:
-    """Row-wise argmin indicator; near-ties within ``tol`` all get a 1."""
+    """Row-wise argmin indicator; near-ties within ``tol`` all get a 1.  The
+    cost matrix is refused as ``maxmin_test_matrix`` refuses it."""
+    values = _cost_matrix(values)
     k = values.shape[0]
     inc = np.zeros((k, k), dtype=int)
     for i in range(k):
@@ -437,18 +439,18 @@ def beta_ladder_trace(
 
     Stops as soon as the mass exceeds ``mass_target``, beta passes the cap,
     or the solve loses conditioning; returns the sound (beta, mass) pairs.
-    ``beta0`` must be finite and positive, or doubling never moves it, and
-    ``beta_cap`` at least ``beta0``; a NaN cap or target would end the
-    ladder before its first rung or never.  A refused input raises rather
-    than ending the ladder.
+    Each of ``beta0`` (finite and positive, or doubling never moves it),
+    ``beta_cap`` (at least ``beta0``) and ``mass_target`` must be a number;
+    a NaN cap or target would end the ladder before its first rung or
+    never.  A refused input raises rather than ending the ladder.
     """
     if not (is_number(beta0) and math.isfinite(beta0) and beta0 > 0):
         raise ConditionError(f"beta0 must be finite and positive, got {beta0!r}")
-    if not beta_cap >= beta0:
-        raise ConditionError(f"beta_cap must be at least beta0={beta0!r}, "
+    if not (is_number(beta_cap) and beta_cap >= beta0):
+        raise ConditionError(f"beta_cap must be a number at least beta0={beta0!r}, "
                              f"got {beta_cap!r}")
-    if math.isnan(mass_target):
-        raise ConditionError("mass_target must not be NaN")
+    if not is_number(mass_target) or math.isnan(mass_target):
+        raise ConditionError(f"mass_target must be a number, not NaN; got {mass_target!r}")
     out = []
     beta = beta0
     while beta <= beta_cap:

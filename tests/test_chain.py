@@ -566,6 +566,10 @@ TYPED_ENTRIES = {
     "beta": (lambda v: invariant_measure(TWO_STRATEGY, 4, v), "beta must"),
     "beta0": (lambda v: beta_ladder_trace(TWO_STRATEGY, 4, 0, beta0=v), "beta0 must"),
     "delta": (lambda v: stable_division(Frontier(1, 3, 0.5), v), "delta must"),
+    "beta_cap": (lambda v: beta_ladder_trace(TWO_STRATEGY, 4, 0, beta_cap=v),
+                 "beta_cap must"),
+    "mass_target": (lambda v: beta_ladder_trace(TWO_STRATEGY, 4, 0, mass_target=v),
+                    "mass_target must"),
 }
 
 
@@ -576,7 +580,8 @@ TYPED_ENTRIES = {
 ])
 def test_entry_points_refuse_a_value_of_the_wrong_type(entry, value):
     # A float or bool index once ended in a numpy IndexError, a str or None
-    # beta or delta in a TypeError, and beta=True was read as 1.0.
+    # beta, delta, beta_cap or mass_target in a TypeError, and beta=True was
+    # read as 1.0.
     call, message = TYPED_ENTRIES[entry]
     with pytest.raises(ConditionError, match=message):
         call(value)

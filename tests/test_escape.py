@@ -39,7 +39,7 @@ from ldl.chain import (
     enumerate_states,
     payoff_vector,
 )
-from ldl.escape import _least_cost_search, _price, two_pop_thresholds
+from ldl.escape import _digits, _least_cost_search, _price, two_pop_thresholds
 from ldl.paths import run_cost_closed_form
 from gamegen import (
     DECIMAL_TIE,
@@ -583,7 +583,7 @@ def test_price_matches_per_state_basin_and_costs():
         faced = list(enumerate_states(30 if pop is None else 9, k))
         own = range(k) if rule is CostRule.BETTER_REPLY else [0] * k
         for targets in [(t,) for t in range(k)] + [tuple(range(k))[::-1]]:
-            masks, weights = _price(game, rule, targets, pop, faced)
+            masks, weights = _price(game, rule, targets, pop, np.array(faced))
             assert len(masks) == len(weights) == len(faced)
             for counts, mask, got in zip(faced, masks, weights):
                 pay = _FACED_PAYOFFS[pop](game, counts)
@@ -604,13 +604,29 @@ def test_price_basin_flags_compose_to_the_two_pop_basin():
     # A two-population state is inside when both sides' revisers are.
     faced = list(enumerate_states(6, NDG_L4.k))
     targets = tuple(range(NDG_L4.k))
-    alpha, _ = _price(NDG_L4, CostRule.LOGIT, targets, "alpha", faced)
-    beta, _ = _price(NDG_L4, CostRule.LOGIT, targets, "beta", faced)
+    alpha, _ = _price(NDG_L4, CostRule.LOGIT, targets, "alpha", np.array(faced))
+    beta, _ = _price(NDG_L4, CostRule.LOGIT, targets, "beta", np.array(faced))
     for a, a_faced_by_beta in zip(faced, beta):
         for b, b_faced_by_alpha in zip(faced, alpha):
             mask = b_faced_by_alpha & a_faced_by_beta
             for p, target in enumerate(targets):
                 assert in_basin(NDG_L4, (a, b), target) == bool(mask >> p & 1)
+
+
+def test_oracle_batch_schedule_at_n_480(monkeypatch):
+    # The batch schedule is pinned: the escape from TECH's
+    # convention 0 at n = 480 prices 11,026 of the 115,921 states in 227
+    # batches, each state once.
+    calls = []
+
+    def counting(game, rule, targets, pop, counts):
+        calls.append(len(counts))
+        return _price(game, rule, targets, pop, counts)
+
+    monkeypatch.setattr("ldl.escape._price", counting)
+    res = exit_bruteforce(TECH, 480, 0)
+    assert (len(calls), sum(calls)) == (227, 11026)
+    assert (res.cost, len(res.witness.states)) == (1695.0000000000002, 227)
 
 
 # One search per source against one reference search per ordered pair
@@ -744,6 +760,37 @@ def test_search_keys_wider_than_64_bits_one_pop(n):
     want = reference_least_cost_search(game, 7, 0, 0, True, CostRule.LOGIT, None)
     assert (res.cost, res.witness.states) == want
     assert all(type(c) is int for state in res.witness.states for c in state)
+
+
+def _divmod_digits(key, radix, k):
+    digits = []
+    for _ in range(k):
+        key, digit = divmod(key, radix)
+        digits.append(digit)
+    return digits
+
+
+def test_price_decodes_keys_wider_than_64_bits():
+    # NDG L = 22 (k = 21) at n = 9: a side's key has 21 digits in radix 10,
+    # past 2**63, and a two-population key 42.
+    k, radix = NDG_L22.k, 10
+    rng = np.random.default_rng(5)
+    faced = [tuple(np.bincount(rng.integers(0, k, 9), minlength=k).tolist())
+             for _ in range(40)]
+    faced += [tuple(9 * (i == j) for i in range(k)) for j in (0, k - 2, k - 1)]
+    keys = [sum(c * radix ** i for i, c in enumerate(counts)) for counts in faced]
+    assert max(keys) > 2 ** 63
+    digits = _digits(keys, radix, k)
+    assert digits.tolist() == [_divmod_digits(f, radix, k) for f in keys]
+    assert digits.tolist() == [list(counts) for counts in faced]
+    assert all(type(c) is int for row in digits.tolist() for c in row)
+    pair = keys[-1] + radix ** k * keys[0]  # alpha's key, then beta's
+    assert _digits([pair], radix, 2 * k).tolist() == [
+        _divmod_digits(pair, radix, 2 * k)]
+    targets = tuple(range(k))
+    for pop in ("alpha", "beta"):
+        assert (_price(NDG_L22, CostRule.LOGIT, targets, pop, digits)
+                == _price(NDG_L22, CostRule.LOGIT, targets, pop, np.array(faced)))
 
 
 def test_oracle_witness_states_are_tuples_of_python_ints():

@@ -250,14 +250,17 @@ def test_arborescence_refuses_unknown_methods():
             arborescence_root(vals, method=method)
 
 
-@pytest.mark.parametrize("values, message", [
+MALFORMED_COST_MATRICES = [
     (np.ones((2, 3)), "k x k"),
     (np.ones((1, 1)), "k x k"),
     (np.ones(3), "k x k"),
     (np.array([[np.nan, 1, np.nan], [2, np.nan, 3], [1, 2, np.nan]]), "finite"),
     (np.array([[np.nan, np.inf], [1, np.nan]]), "finite"),
     (np.array([[np.nan, 1], [-np.inf, np.nan]]), "finite"),
-])
+]
+
+
+@pytest.mark.parametrize("values, message", MALFORMED_COST_MATRICES)
 def test_tree_and_maxmin_refuse_a_malformed_cost_matrix(values, message):
     # A NaN at [0, 2] once gave roots (1,) and a maxmin "stable 1", and a
     # 2 x 3 matrix roots (0, 1).
@@ -267,6 +270,22 @@ def test_tree_and_maxmin_refuse_a_malformed_cost_matrix(values, message):
     with pytest.raises(ConditionError, match=message):
         maxmin_test_matrix(values)
 
+
+
+@pytest.mark.parametrize("values, message", MALFORMED_COST_MATRICES)
+def test_incidence_refuses_a_malformed_cost_matrix(values, message):
+    # The NaN at [0, 2] was skipped: incidence gave [[0,1,0],[1,0,0],[1,0,0]]
+    # where maxmin_test_matrix refused the same matrix.
+    with pytest.raises(ConditionError, match=message):
+        incidence(values)
+
+
+def test_incidence_reads_no_diagonal():
+    vals = np.array([[np.nan, 1.0, 2.0], [0.5, np.nan, 2.0], [2.0, 0.5, np.nan]])
+    odd = vals.copy()
+    np.fill_diagonal(odd, [np.inf, -np.inf, np.nan])
+    assert incidence(odd).tolist() == incidence(vals).tolist() == [
+        [0, 1, 0], [1, 0, 0], [0, 1, 0]]
 
 def test_maxmin_conclusive_matches_tree_root_seeded_sweep():
     games = random_condition_a_games(50, seed=2025)
