@@ -120,7 +120,10 @@ def solve_solutions(frontier: Frontier) -> BargainingSolutions:
 # Demand-game transition terms
 
 
-MAX_GRID = 100_000
+# The grid pass holds a few float arrays per cell, about 125 bytes a cell at
+# its peak: 10**6 cells (delta = 3e-6 on s_bar = 3) take about 0.5 s and
+# 120 MB above the interpreter's baseline on a 2-vCPU KVM guest.
+MAX_GRID = 1_000_000
 
 
 def _grid_size(frontier: Frontier, delta: float) -> int:

@@ -5,7 +5,8 @@ convention indices are 1-based on the command line and in rendered output;
 the library itself is 0-based.
 
 Exit codes: 0 success, 1 I/O or schema error, 2 validation failure,
-3 guardrail exceeded.
+3 guardrail exceeded or out of resources, 4 internal error; each failure
+is one line on stderr.
 """
 
 from __future__ import annotations
@@ -462,6 +463,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: out of resources: {type(exc).__name__}{detail}",
               file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect: still one line, never a traceback
+        print(f"error: internal error: {type(exc).__name__}: "
+              f"{' '.join(str(exc).split())}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -78,10 +79,10 @@ class EscapeResult:
 def _price(game, rule: CostRule, targets, pop: Optional[str], counts) -> tuple:
     """Basin masks (bit p: ``targets[p]`` is a best reply) and move weights,
     as plain lists, of ``pop``'s revisers facing each row of the array
-    ``counts``, in one vectorized pass.  One population's weights (the faced
-    counts are its own) are a flat row of the moves i -> j != i in canonical
-    order, ``inf`` where no agent plays i; two populations' are a cost row
-    per source i, one shared row unless the rule (better reply) reads i."""
+    ``counts``, in one vectorized pass.  The weights are those of the moves
+    i -> j != i in canonical order: for one population (the faced counts are
+    its own) a flat row, ``inf`` where no agent plays i; for two a row of
+    k - 1 per source i."""
     k = game.k
     counts = np.asarray(counts, dtype=float)
     prod = faced_products(game, pop, counts)
@@ -91,10 +92,10 @@ def _price(game, rule: CostRule, targets, pop: Optional[str], counts) -> tuple:
     better = rule is CostRule.BETTER_REPLY
     costs = (np.stack([cost_vector(game, rule, pay, i, pop) for i in range(k)], axis=1)
              if better else cost_vector(game, rule, pay, 0, pop)[:, None])
-    if pop is not None:
-        return masks, costs.tolist() if better else [[r] * k for r in costs[:, 0].tolist()]
     src, dst = np.nonzero(~np.eye(k, dtype=bool))  # the moves i -> j != i, in order
     moves = costs[:, src if better else 0, dst]
+    if pop is not None:
+        return masks, moves.reshape(-1, k, k - 1).tolist()
     return masks, np.where(counts[:, src] > 0, moves, np.inf).tolist()
 
 
@@ -111,6 +112,61 @@ def _digits(keys: list, radix: int, k: int) -> np.ndarray:
     return np.array(keys, dtype=object)[:, None] // powers % radix
 
 
+def _path_bounds(game, n: int, start: int, targets, leaving: bool,
+                 rule: CostRule) -> list:
+    """Each target's cost along the cheapest of a family of real paths out
+    of convention ``start``, ``inf`` where none reaches a state terminal
+    for it: for each j, the straight run of ``start -> j`` moves, and for
+    two populations up to one such run per population, in either order.
+
+    Moves are priced as the search prices them (``faced_products``,
+    ``cost_vector`` and the ``>=`` basin flags) and added in path order as
+    the search adds them, but for the second population's run: its b moves
+    all face the first run's fixed count, so they cost b times one weight,
+    which rounds apart from b additions by about b ulps of the total.
+    Until the first run is terminal, the second ends where the first
+    population's flag turns; that flag reads only the second's count, so
+    the count is the same after every first run, and each order is O(n)
+    per j."""
+    k = game.k
+    js = [j for j in range(k) if j != start]
+    rows, end = range(k - 1), n + 1  # ``end`` indexes no state: not reached
+    counts = np.zeros((k - 1, n + 1, k))  # c agents of n play j, the rest start
+    counts[:, :, start] = n - np.arange(n + 1)
+    counts[rows, :, js] = np.arange(n + 1)
+    flags, weights = [], []  # each population's, facing c agents on j
+    for pop in game.populations:
+        prod = faced_products(game, pop, counts.reshape(-1, k))
+        best = prod[:, list(targets)] >= prod.max(axis=1, keepdims=True)
+        flags.append(best.reshape(k - 1, n + 1, -1))
+        cost = cost_vector(game, rule, prod / n, start, pop).reshape(k - 1, n + 1, k)
+        weights.append(cost[rows, :, js])
+
+    def first(terminal):  # the first terminal count along a run, per (j, target)
+        return np.where(terminal.any(axis=1), terminal.argmax(axis=1), end)
+
+    def reached(run, counts):  # a run's cost to those counts, inf at ``end``
+        total = np.array([[*itertools.accumulate(r, initial=0.0), math.inf]
+                          for r in run.tolist()])  # added as the search adds
+        return np.take_along_axis(total, counts, axis=1), total[:, :-1]
+
+    if len(flags) == 1:  # one population: the straight run
+        cost, _ = reached(weights[0][:, :n], first(flags[0] ^ leaving))
+        return cost.min(axis=0).tolist()
+    out = []
+    for x, y in ((0, 1), (1, 0)):  # x's run first, facing y on start
+        stop = first((flags[x][:, :1] & flags[y]) ^ leaving)
+        cost, total = reached(np.repeat(weights[x][:, :1], n, axis=1), stop)
+        out.append(cost)
+        # x's run halts at a < stop; y's run then ends at the first count b
+        # where x's flag turns, and only when y's flag at a is set.
+        turn = first(flags[x][:, 1:] ^ leaving) + 1
+        ok = (np.arange(n + 1)[:, None] < stop[:, None]) & flags[y] & (turn <= n)[:, None]
+        cost = total[:, :, None] + np.minimum(turn, n)[:, None] * weights[y][:, :, None]
+        out.append(np.where(ok, cost, np.inf).min(axis=1))
+    return np.min(out, axis=(0, 1)).tolist()
+
+
 def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
                        rule: CostRule, guardrail: Optional[int]) -> list:
     """Least-cost paths from convention ``start`` to the first settled state
@@ -125,9 +181,26 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     expanded once: a popped entry above its state's distance is stale.  A
     state expanded before its prices has every side (a population and the
     key of the counts it faces) found since the last batch decoded and
-    priced in one pass; one population's prices are dropped once used.  The
-    relax loop needs no test: an ``inf`` weight never relaxes, nor does a
-    two-population self-move i -> i, whose shift is 0.
+    priced in one pass; one population's prices are dropped once used.  A
+    price row holds only the moves i -> j != i, so no self-move is probed.
+
+    A move is dropped before its probe when ``d + w`` exceeds U, the largest
+    of ``_path_bounds``'s target costs with ``NEAR_TIE`` relative slack for
+    their summation order; U is ``inf`` when some target has no bounding
+    path.  The answers cannot change:
+
+    - every state expanded before the search returns has ``d <= D* <= U``,
+      D* the largest target cost returned, since each bound is the cost of
+      a real path and the search finds none dearer than it;
+    - a dropped move would only have stored a tentative distance above U,
+      and any later relaxation of that state to U or less still strictly
+      improves, as before;
+    - so the expanded states, their ``(d, counter)`` order, distances,
+      parents, witnesses and the guardrail count are unchanged.  Only the
+      pushes and the states sent to ``_price`` shrink.
+
+    The bound is computed after every refusal of bad input, so those keep
+    their type and message.
     """
     for target in targets:
         check_convention(game, target)
@@ -140,9 +213,11 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     powers = [radix ** i for i in range(k)]
     place = radix * powers[-1]
     pops = game.populations
-    steps = [[[(pj - pi) * place ** side for pj in powers] for pi in powers]
-             for side in range(len(pops))]  # the key change of a move i -> j
-    shifts = [steps[0][i][j] for i in range(k) for j in range(k) if j != i]
+    steps = [[[(pj - pi) * place ** side for pj in powers if pj != pi] for pi in powers]
+             for side in range(len(pops))]  # the key change of each move i -> j != i
+    shifts = [s for row in steps[0] for s in row]
+    bounds = _path_bounds(game, radix - 1, start, targets, leaving, rule)
+    cap = max(bounds) * (1 + NEAR_TIE)
     remaining = (1 << len(targets)) - 1  # bit p: targets[p] not yet reached
     flip = remaining if leaving else 0
     results = [None] * len(targets)
@@ -217,6 +292,8 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
         for moves, weights in runs:
             for s, w in zip(moves, weights):
                 nd = d + w
+                if nd > cap:
+                    continue
                 y = x + s
                 old = dist.get(y, inf)
                 if nd < old:

@@ -184,6 +184,20 @@ def test_stable_division_panel_a_intentional():
     assert abs(res.x_star - sol.s_intentional) <= 0.05
 
 
+@pytest.mark.parametrize("rule, split", [("unintentional", "s_nash"),
+                                         ("intentional", "s_intentional")])
+def test_stable_division_at_delta_1e5_is_within_one_cell_of_the_split(rule, split):
+    # 300,000 cells, the north star's delta on s_bar = 3
+    res = stable_division(PANEL_A, 1e-5, rule)
+    assert abs(res.x_star - getattr(solve_solutions(PANEL_A), split)) <= 1e-5
+    assert res.crossing_agrees and not res.warnings
+
+
+def test_stable_division_refuses_a_grid_above_the_cap():
+    with pytest.raises(ConditionError, match="3000000 cells exceeds the supported 1000000"):
+        stable_division(PANEL_A, 1e-6, "unintentional")
+
+
 def test_stable_division_panel_b_binding_pair_reversed_case():
     # egalitarian-above frontier: the unintentional optimum pairs r2 with l2
     res = stable_division(PANEL_B, 0.01, "unintentional")

@@ -154,6 +154,19 @@ def test_exit_out_of_resources_is_exit_3(tech_path, capsys, monkeypatch, exc):
     assert out == ""
 
 
+def test_unexpected_exception_is_one_line_exit_4(tech_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("bad value\non two lines")
+
+    monkeypatch.setattr("ldl.cli.exit_reduced", broken)
+    code, out, err = run(
+        capsys, "exit", tech_path, "--convention", "1", "--reduced", "--n", "12"
+    )
+    assert code == 4
+    assert err == "error: internal error: ValueError: bad value on two lines\n"
+    assert out == ""
+
+
 def test_exit_reduced_refuses_a_game_failing_validation(tmp_path, capsys):
     p = tmp_path / "no_bandwagon.json"
     p.write_text(game_to_json(OnePopGame([[7, 4, -6], [6, 10, -5], [-2, 6, 4]])))

@@ -4,6 +4,7 @@ import heapq
 import math
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,9 @@ from ldl.chain import (
     enumerate_states,
     payoff_vector,
 )
-from ldl.escape import _digits, _least_cost_search, _price, two_pop_thresholds
+from ldl.escape import (_digits, _least_cost_search, _path_bounds, _price,
+                        two_pop_thresholds)
+from ldl.games import NEAR_TIE
 from ldl.paths import run_cost_closed_form
 from gamegen import (
     DECIMAL_TIE,
@@ -595,9 +598,9 @@ def test_price_matches_per_state_basin_and_costs():
                     assert mask == sum(in_basin(game, counts, t) << p
                                        for p, t in enumerate(targets))
                 else:
-                    assert got == rows
-                    if rule is not CostRule.BETTER_REPLY:
-                        assert all(row is got[0] for row in got)  # one shared row
+                    # a row per source i of its moves i -> j != i
+                    assert got == [[rows[i][j] for j in range(k) if j != i]
+                                   for i in range(k)]
 
 
 def test_price_basin_flags_compose_to_the_two_pop_basin():
@@ -615,7 +618,7 @@ def test_price_basin_flags_compose_to_the_two_pop_basin():
 
 def test_oracle_batch_schedule_at_n_480(monkeypatch):
     # The batch schedule is pinned: the escape from TECH's
-    # convention 0 at n = 480 prices 11,026 of the 115,921 states in 227
+    # convention 0 at n = 480 prices 10,797 of the 115,921 states in 227
     # batches, each state once.
     calls = []
 
@@ -625,8 +628,93 @@ def test_oracle_batch_schedule_at_n_480(monkeypatch):
 
     monkeypatch.setattr("ldl.escape._price", counting)
     res = exit_bruteforce(TECH, 480, 0)
-    assert (len(calls), sum(calls)) == (227, 11026)
+    assert (len(calls), sum(calls)) == (227, 10797)
     assert (res.cost, len(res.witness.states)) == (1695.0000000000002, 227)
+
+
+# The search drops every move dearer than the bound U of its targets
+
+# The six two-population escapes of the bargaining benchmark, all at n = 40.
+NDG_B = ndg_build(Frontier(3, 1, 0.5), 8)
+DEMAND_ESCAPES = [(NDG, m) for m in (0, 1, 2, 4)] + [(NDG_B, m) for m in (0, 1)]
+
+two_pop_rules = st.sampled_from(tuple(CostRule))
+one_pop_rules = st.sampled_from((CostRule.LOGIT, CostRule.UNIFORM,
+                                 CostRule.BETTER_REPLY))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data(), leaving=st.booleans())
+def test_search_cost_is_within_the_bound_of_every_target(data, leaving):
+    games = data.draw(st.one_of(one_pop_games,
+                                st.sampled_from(([NDG_L4], [TWO_POP_2X2]))))
+    assume(games)
+    game = games[0]
+    two_pop = isinstance(game, TwoPopGame)
+    rule = data.draw(two_pop_rules if two_pop else one_pop_rules)
+    n = data.draw(st.integers(1, 8 if two_pop or game.k == 4 else 24))
+    for start in range(game.k):
+        targets = (start,) if leaving else tuple(set(range(game.k)) - {start})
+        bounds = _path_bounds(game, n, start, targets, leaving, rule)
+        try:
+            found = _least_cost_search(game, n, start, targets, leaving, rule, None)
+        except LdlError as exc:  # some target has no bounding path
+            assert "no terminal state" in str(exc) and max(bounds) == math.inf
+            continue
+        for res, bound in zip(found, bounds):
+            assert res.cost <= bound * (1 + NEAR_TIE), (start, n, rule)
+
+
+def search_record(monkeypatch, game, n, m):
+    """The escape with the states it expands, in order, and the smallest
+    guardrail it finishes under: the search stops at its last expansion
+    before the guardrail test."""
+    popped = []
+
+    def heappop(heap):
+        popped.append(heap[0][2])
+        return heapq.heappop(heap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("ldl.escape.heapq", SimpleNamespace(
+            heappush=heapq.heappush, heappop=heappop))
+        res = exit_bruteforce(game, n, m)
+    expanded = list(dict.fromkeys(popped))  # a stale entry pops after its state
+    least = max(len(expanded) - 1, 1)
+    exit_bruteforce(game, n, m, guardrail=least)
+    if least > 1:
+        with pytest.raises(GuardrailExceeded):
+            exit_bruteforce(game, n, m, guardrail=least - 1)
+    return res.cost, res.witness.states, expanded, least
+
+
+@pytest.mark.parametrize("game, n, m", [(g, 40, m) for g, m in DEMAND_ESCAPES]
+                         + [(TECH, 480, 0)])
+def test_bound_changes_no_answer(monkeypatch, game, n, m):
+    pruned = search_record(monkeypatch, game, n, m)
+    monkeypatch.setattr("ldl.escape._path_bounds", lambda *args: [math.inf])
+    assert search_record(monkeypatch, game, n, m) == pruned
+
+
+@pytest.mark.parametrize("game, m", DEMAND_ESCAPES)
+def test_two_run_bound_is_the_demand_game_escape_cost(game, m):
+    bound, = _path_bounds(game, 40, m, (m,), True, CostRule.LOGIT)
+    cost = exit_bruteforce(game, 40, m).cost
+    assert abs(bound - cost) <= NEAR_TIE * cost
+
+
+def test_bound_prunes_the_priced_rows(monkeypatch):
+    # NDG L = 6, n = 40, from demand 2: the search priced 2,037 rows
+    # before moves above the bound were dropped.
+    rows = []
+
+    def counting(game, rule, targets, pop, counts):
+        rows.append(len(counts))
+        return _price(game, rule, targets, pop, counts)
+
+    monkeypatch.setattr("ldl.escape._price", counting)
+    exit_bruteforce(NDG, 40, 2)
+    assert sum(rows) == 1178
 
 
 # One search per source against one reference search per ordered pair
