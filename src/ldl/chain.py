@@ -174,9 +174,10 @@ def payoff(game: Game, i: int, state: State, pop: Optional[str] = None) -> float
 def in_basin(game: Game, state: State, m: int) -> bool:
     """Weak-inequality basin membership: ``m`` is a (possibly tied) best reply.
 
-    The package's one discrete basin test: the block-path enumeration and
-    the public API use it, and the least-cost search applies it to a batch
-    of states' products, rounded alike.  It compares each population's
+    The package's one discrete basin test: the public API uses it, and the
+    least-cost search and the straight-run pricer (``paths._straight_runs``,
+    behind the block-path enumeration) apply it to a stack of states'
+    products, rounded alike.  It compares each population's
     unnormalized payoffs, ``M @ faced_counts`` with M its oriented matrix
     (``A @ counts``; for two populations ``alpha @ beta_counts`` and
     ``beta.T @ alpha_counts``, bit-equal to ``alpha_counts @ beta``), with

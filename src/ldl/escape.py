@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -47,7 +46,13 @@ from .games import (
     validate_one_pop,
     validate_two_pop,
 )
-from .paths import BlockSpec, cheapest_block_path
+from .paths import (
+    BlockSpec,
+    _first,
+    _reached,
+    _straight_runs,
+    enumerate_block_paths,
+)
 
 
 @dataclass(frozen=True)
@@ -119,48 +124,26 @@ def _path_bounds(game, n: int, start: int, targets, leaving: bool,
     for it: for each j, the straight run of ``start -> j`` moves, and for
     two populations up to one such run per population, in either order.
 
-    Moves are priced as the search prices them (``faced_products``,
-    ``cost_vector`` and the ``>=`` basin flags) and added in path order as
-    the search adds them, but for the second population's run: its b moves
-    all face the first run's fixed count, so they cost b times one weight,
-    which rounds apart from b additions by about b ulps of the total.
-    Until the first run is terminal, the second ends where the first
-    population's flag turns; that flag reads only the second's count, so
-    the count is the same after every first run, and each order is O(n)
-    per j."""
-    k = game.k
-    js = [j for j in range(k) if j != start]
-    rows, end = range(k - 1), n + 1  # ``end`` indexes no state: not reached
-    counts = np.zeros((k - 1, n + 1, k))  # c agents of n play j, the rest start
-    counts[:, :, start] = n - np.arange(n + 1)
-    counts[rows, :, js] = np.arange(n + 1)
-    flags, weights = [], []  # each population's, facing c agents on j
-    for pop in game.populations:
-        prod = faced_products(game, pop, counts.reshape(-1, k))
-        best = prod[:, list(targets)] >= prod.max(axis=1, keepdims=True)
-        flags.append(best.reshape(k - 1, n + 1, -1))
-        cost = cost_vector(game, rule, prod / n, start, pop).reshape(k - 1, n + 1, k)
-        weights.append(cost[rows, :, js])
-
-    def first(terminal):  # the first terminal count along a run, per (j, target)
-        return np.where(terminal.any(axis=1), terminal.argmax(axis=1), end)
-
-    def reached(run, counts):  # a run's cost to those counts, inf at ``end``
-        total = np.array([[*itertools.accumulate(r, initial=0.0), math.inf]
-                          for r in run.tolist()])  # added as the search adds
-        return np.take_along_axis(total, counts, axis=1), total[:, :-1]
-
+    The runs are priced by ``paths._straight_runs``, as the search prices
+    moves, and added in path order as the search adds them, but for the
+    second population's run: its b moves all face the first run's fixed
+    count, so they cost b times one weight, which rounds apart from b
+    additions by about b ulps of the total.  Until the first run is
+    terminal, the second ends where the first population's flag turns; that
+    flag reads only the second's count, so the count is the same after
+    every first run, and each order is O(n) per j."""
+    flags, weights = _straight_runs(game, n, start, targets, rule)
     if len(flags) == 1:  # one population: the straight run
-        cost, _ = reached(weights[0][:, :n], first(flags[0] ^ leaving))
+        cost, _ = _reached(weights[0][:, :n], _first(flags[0] ^ leaving))
         return cost.min(axis=0).tolist()
     out = []
     for x, y in ((0, 1), (1, 0)):  # x's run first, facing y on start
-        stop = first((flags[x][:, :1] & flags[y]) ^ leaving)
-        cost, total = reached(np.repeat(weights[x][:, :1], n, axis=1), stop)
+        stop = _first((flags[x][:, :1] & flags[y]) ^ leaving)
+        cost, total = _reached(np.repeat(weights[x][:, :1], n, axis=1), stop)
         out.append(cost)
         # x's run halts at a < stop; y's run then ends at the first count b
         # where x's flag turns, and only when y's flag at a is set.
-        turn = first(flags[x][:, 1:] ^ leaving) + 1
+        turn = _first(flags[x][:, 1:] ^ leaving) + 1
         ok = (np.arange(n + 1)[:, None] < stop[:, None]) & flags[y] & (turn <= n)[:, None]
         cost = total[:, :, None] + np.minimum(turn, n)[:, None] * weights[y][:, :, None]
         out.append(np.where(ok, cost, np.inf).min(axis=1))
@@ -355,8 +338,12 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
     Equals the oracle value: under the structural conditions, which are
     always checked, a least-cost escape consists of repeated identical
     mistakes from the status quo to one other convention, so pricing the
-    k-1 straight runs suffices.  A game that fails them is refused, since
-    a path with two targets can then be cheaper, and so is an n above
+    k-1 straight runs suffices.  Each spec of ``enumerate_block_paths`` is
+    priced by the running total of its run's weights from
+    ``paths._straight_runs``, the bits ``path_cost`` gives its witness; the
+    first least cost in target order wins, and its witness is walked once.
+    A game that fails the conditions is refused, since a path with two
+    targets can then be cheaper, and so is an n above
     ``ONE_POP_SEARCH_CAP``, whose witness would not fit in memory.
     """
     if isinstance(game, TwoPopGame):
@@ -367,17 +354,23 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
         raise ConditionError(f"population size n={n} exceeds the reduced "
                              f"search's cap of {ONE_POP_SEARCH_CAP}")
     _require_condition(game, mbar)
-    best = cheapest_block_path(game, n, mbar)
-    if best is None:
+    # Read through this module's name for it, as the generator it is, so a
+    # wrapper around it (bench/spans.py's) times each step and counts specs.
+    specs = list(enumerate_block_paths(game, n, mbar))
+    if not specs:
         raise LdlError("no block escape path exists")
-    cost, spec, witness = best
+    _, (weights,) = _straight_runs(game, n, mbar, (mbar,), CostRule.LOGIT)
+    rows = [spec.targets[0] - (spec.targets[0] > mbar) for spec in specs]
+    costs, _ = _reached(weights[rows, :n], np.array([spec.counts for spec in specs]))
+    # ``min`` keeps the first of equal costs: the tie rule is target order.
+    cost, spec = min(zip(costs[:, 0].tolist(), specs), key=lambda pair: pair[0])
     return EscapeResult(
         n=n,
         convention=mbar,
         rule=CostRule.LOGIT,
         cost=cost,
         normalized=cost / n,
-        witness=witness,
+        witness=spec.realize(game.k, n, mbar),
         block=spec,
         provenance="reduced",
     )

@@ -5,14 +5,17 @@ reduction to "block" form: a block path leaves the status-quo strategy in
 runs of identical moves (first t1 switches to one target, then t2 to the
 next, and so on) and exits the basin exactly at its final state.  Under the
 structural conditions the search needs only the straight ones, a single run
-to one target: ``enumerate_block_paths`` solves each of the k-1 runs' exits
-in closed form and ``cheapest_block_path`` prices them in O(k) before one
-O(n) witness is realized.
+to one target.  ``_straight_runs`` prices the k-1 runs in one stacked pass,
+as the least-cost search prices moves: ``enumerate_block_paths`` reads each
+run's basin exit from its flags, ``exit_reduced`` each run's cost from its
+weights, and the search's path bounds both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -24,27 +27,32 @@ from .chain import (
     Path,
     State,
     apply_move,
-    convention_state,
+    check_population,
+    cost_vector,
+    faced_products,
     in_basin,
     path_cost,
     payoff_vector,
 )
 from .errors import ConditionError, LdlError
-from .games import NEAR_TIE, OnePopGame
+from .games import NEAR_TIE, OnePopGame, TwoPopGame, check_convention, is_number
 
 
 @dataclass(frozen=True)
 class BlockSpec:
     """Runs of identical moves away from the status-quo strategy.
 
-    ``targets[l]`` receives ``counts[l]`` consecutive switches; targets are
-    distinct and the total number of switches cannot exceed n.
+    ``targets[l]`` receives ``counts[l]`` consecutive switches; targets and
+    counts are integers (not bools), targets are distinct, counts positive,
+    and the total number of switches cannot exceed n.
     """
 
     targets: tuple[int, ...]
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(is_number(v, numbers.Integral) for v in (*self.targets, *self.counts)):
+            raise ConditionError("block targets and counts must be integers")
         if len(self.targets) != len(self.counts):
             raise ConditionError("targets and counts must have equal length")
         if len(set(self.targets)) != len(self.targets):
@@ -102,14 +110,22 @@ def cp1_delta(game: OnePopGame, x: State, mbar: int, i: int, k: int, l: int) -> 
     return delta
 
 
+def _check_pair(game: OnePopGame, mbar: int, i: int, j: int) -> None:
+    """Refuse a status quo and pair of targets that are not distinct strategies."""
+    for index in (mbar, i, j):
+        check_convention(game, index)
+    if i == j or mbar in (i, j):
+        raise ConditionError("indices mbar, i, j must be distinct")
+
+
 def cp2_delta(game: OnePopGame, n: int, mbar: int, i: int, j: int) -> float:
     """State-free cost gap between the two orders of a pair of status-quo moves.
 
     Doing mbar->j before mbar->i costs this much more than the reverse order,
     at every basin state: (A[j,i]-A[j,m]+A[m,j]-A[m,i]-A[i,j]+A[i,m])/n.
     """
-    if i == j or mbar in (i, j):
-        raise ConditionError("indices mbar, i, j must be distinct")
+    n = check_population(n)
+    _check_pair(game, mbar, i, j)
     a = game.payoffs
     return (a[j, i] - a[j, mbar] + a[mbar, j] - a[mbar, i]
             - a[i, j] + a[i, mbar]) / n
@@ -120,6 +136,7 @@ def cp2_direct(game: OnePopGame, x: State, mbar: int, i: int, j: int) -> float:
 
     Requires x and both intermediate states to lie in the basin.
     """
+    _check_pair(game, mbar, i, j)
     gamma1 = Path.walk(x, (Move(mbar, i), Move(mbar, j)))
     gamma2 = Path.walk(x, (Move(mbar, j), Move(mbar, i)))
     for probe in (x, gamma1.states[1], gamma2.states[1]):
@@ -303,83 +320,67 @@ def _is_block_sequence(seq: Sequence[int]) -> bool:
 # The straight escape paths
 
 
+def _straight_runs(game, n: int, start: int, targets, rule: CostRule) -> tuple:
+    """Each population's basin flags and move weights along the k-1 straight
+    runs out of convention ``start``, one per j != start in ascending order,
+    each population's in one stacked pass.  At count c of run r (c agents of
+    n on j, the rest on ``start``), ``flags[p][r, c, t]`` says whether
+    ``targets[t]`` is a best reply of population p (``faced_products`` and
+    the weak ``>=``, as the least-cost search and ``in_basin`` decide), and
+    ``weights[p][r, c]`` is the cost under ``rule`` of p's next start -> j
+    move, to the bits of ``step_cost``."""
+    k = game.k
+    js = [j for j in range(k) if j != start]
+    rows = range(k - 1)
+    counts = np.zeros((k - 1, n + 1, k))  # c agents of n play j, the rest start
+    counts[:, :, start] = n - np.arange(n + 1)
+    counts[rows, :, js] = np.arange(n + 1)
+    flags, weights = [], []  # each population's, facing c agents on j
+    for pop in game.populations:
+        prod = faced_products(game, pop, counts.reshape(-1, k))
+        best = prod[:, list(targets)] >= prod.max(axis=1, keepdims=True)
+        flags.append(best.reshape(k - 1, n + 1, -1))
+        cost = cost_vector(game, rule, prod / n, start, pop).reshape(k - 1, n + 1, k)
+        weights.append(cost[rows, :, js])
+    return flags, weights
+
+
+def _first(terminal: np.ndarray) -> np.ndarray:
+    """The first terminal count along each run, per target; one past the
+    run's last count, which indexes no state, where there is none."""
+    return np.where(terminal.any(axis=1), terminal.argmax(axis=1), terminal.shape[1])
+
+
+def _reached(run: np.ndarray, counts: np.ndarray) -> tuple:
+    """Each run's cost to ``counts`` (inf one past its last count), and its
+    running totals: the weights added one at a time in path order, as the
+    least-cost search and ``path_cost`` add them."""
+    total = np.array([[*itertools.accumulate(r, initial=0.0), math.inf]
+                      for r in run.tolist()])
+    return np.take_along_axis(total, counts, axis=1), total[:, :-1]
+
+
 def enumerate_block_paths(game: OnePopGame, n: int,
                           mbar: int) -> Iterator[BlockSpec]:
     """The straight block escape paths from the convention ``mbar``.
 
     For each target u != mbar in ascending order, the spec of one mbar->u
-    run whose last switch first leaves the basin, so at most k-1 specs; a
+    run that stops at its first count outside the basin (the first whose
+    ``mbar`` flag from ``_straight_runs`` is off), so at most k-1 specs; a
     target whose run uses up the status-quo agents inside the basin has
     none.  Under the structural conditions one of them is a least-cost
     escape path: the paper's theorem says the most likely escapes consist
     only of repeated identical mistakes from the status quo to one other
     convention, so no spec with two targets is needed.
     """
-    start = convention_state(game, n, mbar)
-    if not in_basin(game, start, mbar):
+    if isinstance(game, TwoPopGame):
+        raise ConditionError("the reduced search covers one-population games only")
+    check_convention(game, mbar)
+    n = check_population(n)
+    (flags,), _ = _straight_runs(game, n, mbar, (mbar,), CostRule.LOGIT)
+    if not flags[0, 0, 0]:
         raise ConditionError("the convention itself is outside its basin")
-    for u in range(game.k):
-        if u != mbar:
-            length = _run_exit(game, start, mbar, u)
-            if length is not None:
-                yield BlockSpec((u,), (length,))
-
-
-def _shifted(state: State, mbar: int, tgt: int, count: int) -> State:
-    """``state`` after ``count`` switches from ``mbar`` to ``tgt``."""
-    out = list(state)
-    out[mbar] -= count
-    out[tgt] += count
-    return tuple(out)
-
-
-def _run_exit(game: OnePopGame, state: State, mbar: int, tgt: int) -> Optional[int]:
-    """Length of the mbar->tgt run from the basin state ``state`` whose last
-    switch first leaves the basin; None if the status-quo agents run out first.
-
-    Along the run every payoff gap (A y)_j - (A y)_mbar grows linearly in the
-    run length, with slope s_j, so the exit is min_j floor(-gap_j/s_j) + 1
-    over s_j > 0.  ``in_basin`` confirms it, inside one switch before and
-    outside at it, stepping if not, so float-rounded ties are decided as a
-    switch-by-switch walk decides them.
-    """
-    a = game.payoffs
-    pay = a @ np.asarray(state, dtype=float)
-    slopes = a[:, tgt] - a[:, mbar] - (a[mbar, tgt] - a[mbar, mbar])
-    avail = state[mbar]
-    r = avail + 1
-    for gap, s in zip((pay - pay[mbar]).tolist(), slopes.tolist()):
-        if s > 0 and -gap < s * r:
-            r = min(r, math.floor(-gap / s) + 1)
-    while r > 1 and not in_basin(game, _shifted(state, mbar, tgt, r - 1), mbar):
-        r -= 1
-    while r <= avail and in_basin(game, _shifted(state, mbar, tgt, r), mbar):
-        r += 1
-    return r if r <= avail else None
-
-
-def cheapest_block_path(
-    game: OnePopGame, n: int, mbar: int
-) -> Optional[tuple[float, BlockSpec, Path]]:
-    """The cheapest straight escape path from ``mbar``: (cost, spec, path).
-
-    Each spec of ``enumerate_block_paths`` is priced in closed form by
-    ``run_cost_closed_form``, exact since every state before the last lies
-    in the basin.  The specs priced within ``NEAR_TIE`` of the least are
-    realized and re-priced with ``path_cost`` in target order, and the
-    first strict minimum wins.  None when no run leaves the basin.
-    """
-    start = convention_state(game, n, mbar)
-    priced = [(run_cost_closed_form(game, start, mbar, spec.targets[0],
-                                    spec.counts[0]), spec)
-              for spec in enumerate_block_paths(game, n, mbar)]
-    lo = min((price for price, _ in priced), default=math.inf)
-    best = None
-    for price, spec in priced:
-        if price > lo + NEAR_TIE:
-            continue
-        path = spec.realize(game.k, n, mbar)
-        cost = path_cost(game, CostRule.LOGIT, path)
-        if best is None or cost < best[0]:
-            best = (cost, spec, path)
-    return best
+    targets = [u for u in range(game.k) if u != mbar]
+    for u, count in zip(targets, _first(~flags)[:, 0].tolist()):
+        if count <= n:
+            yield BlockSpec((u,), (count,))

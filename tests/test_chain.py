@@ -21,6 +21,8 @@ from ldl import (
     basin,
     beta_ladder_trace,
     convention_state,
+    cp2_delta,
+    cp2_direct,
     exit_bruteforce,
     exit_limit_one_pop,
     exit_reduced,
@@ -570,6 +572,10 @@ TYPED_ENTRIES = {
                  "beta_cap must"),
     "mass_target": (lambda v: beta_ladder_trace(TWO_STRATEGY, 4, 0, mass_target=v),
                     "mass_target must"),
+    "cp2_delta n": (lambda v: cp2_delta(TECH, v, 0, 1, 2), "population size n"),
+    "cp2_delta j": (lambda v: cp2_delta(TECH, 4, 0, 1, v), "convention"),
+    "cp2_direct j": (lambda v: cp2_direct(TECH, (8, 1, 1), 0, 1, v),
+                     "convention index|must be distinct"),
 }
 
 
@@ -577,6 +583,11 @@ TYPED_ENTRIES = {
     *((entry, value) for entry in TYPED_ENTRIES for value in ("1", None, True)),
     ("convention", 1.0),
     ("oracle convention", np.float64(0)),
+    # cp2_delta read j = -1 as 2, gave inf for n = 0 and -2.0 for n = -3,
+    # and cp2_direct returned 0.0 for i == j.
+    *(("cp2_delta n", n) for n in (0, -3, 4.5)),
+    *(("cp2_delta j", j) for j in (-1, 5)),
+    ("cp2_direct j", 1),
 ])
 def test_entry_points_refuse_a_value_of_the_wrong_type(entry, value):
     # A float or bool index once ended in a numpy IndexError, a str or None

@@ -1,5 +1,7 @@
 """path-engine: comparison identities, straightening, block enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +10,8 @@ from ldl import (
     BlockSpec,
     ConditionError,
     CostRule,
+    Frontier,
+    LdlError,
     Move,
     OnePopGame,
     Path,
@@ -20,10 +24,12 @@ from ldl import (
     exit_limit_one_pop,
     exit_reduced,
     in_basin,
+    ndg_build,
     path_cost,
     straighten,
 )
 from ldl.chain import payoff_vector
+from ldl.escape import _path_bounds
 from ldl.paths import build_exchange_triple, run_cost_closed_form
 from gamegen import (
     DECIMAL_TIE,
@@ -408,6 +414,24 @@ def test_block_spec_validation():
         BlockSpec((1,), (0,))
 
 
+@pytest.mark.parametrize("targets, counts", [
+    ((1,), (2.5,)), ((1,), (True,)), ((1,), ("2",)),
+    ((1.0,), (2,)), ((False,), (2,)), ((None,), (2,)),
+])
+def test_block_spec_refuses_targets_and_counts_that_are_not_integers(targets, counts):
+    # (2.5,) once reached realize as a raw TypeError, and (True,) walked as 1.
+    with pytest.raises(ConditionError, match="must be integers"):
+        BlockSpec(targets, counts)
+    spec = BlockSpec((np.int64(1),), (np.int64(2),))
+    assert spec.realize(3, 4, 0).states[-1] == (2, 2, 0)
+
+
+def test_block_enumeration_refuses_a_two_population_game():
+    # once a raw AttributeError: a TwoPopGame has no one-population payoffs
+    with pytest.raises(ConditionError, match="one-population games only"):
+        list(enumerate_block_paths(ndg_build(Frontier(1, 3, 0.5), 4), 4, 0))
+
+
 # ---------------------------------------------------------------------------
 # The straight search against the full block-path search, which survives here
 # only as the reference
@@ -490,6 +514,21 @@ def test_exit_reduced_large_population_does_not_recurse():
     payoff_range = TECH.payoffs.max() - TECH.payoffs.min()
     assert abs(res.normalized - exit_limit_one_pop(TECH, 0).cost) <= payoff_range / n
     assert res.block == BlockSpec((1,), (res.witness.states[-1][1],))
+    assert res.cost == path_cost(TECH, CostRule.LOGIT, res.witness)
+
+
+def test_path_bound_is_the_reduced_cost():
+    # The search's bound and the reduced search read one pricer of the
+    # straight runs, so they agree to the bit (inf where no run escapes).
+    for g in sweep_games():
+        for n in (1, 2, 5, 12, 19, 31, 200):
+            for m in range(g.k):
+                bound, = _path_bounds(g, n, m, (m,), True, CostRule.LOGIT)
+                try:
+                    cost = exit_reduced(g, n, m).cost
+                except LdlError:
+                    cost = math.inf
+                assert bound == cost, (g.payoffs, n, m)
 
 
 # Games drawn from the seeded samplers, which pass the structural conditions.
