@@ -175,9 +175,8 @@ def in_basin(game: Game, state: State, m: int) -> bool:
     """Weak-inequality basin membership: ``m`` is a (possibly tied) best reply.
 
     The package's one discrete basin test: the public API uses it, and the
-    least-cost search and the straight-run pricer (``paths._straight_runs``,
-    behind the block-path enumeration) apply it to a stack of states'
-    products, rounded alike.  It compares each population's
+    least-cost search and ``paths._straight_run`` apply it to a stack of
+    states' products, rounded alike.  It compares each population's
     unnormalized payoffs, ``M @ faced_counts`` with M its oriented matrix
     (``A @ counts``; for two populations ``alpha @ beta_counts`` and
     ``beta.T @ alpha_counts``, bit-equal to ``alpha_counts @ beta``), with

@@ -46,13 +46,7 @@ from .games import (
     validate_one_pop,
     validate_two_pop,
 )
-from .paths import (
-    BlockSpec,
-    _first,
-    _reached,
-    _straight_runs,
-    enumerate_block_paths,
-)
+from .paths import BlockSpec, _cheapest_spec, _path_bounds, enumerate_block_paths
 
 
 @dataclass(frozen=True)
@@ -115,39 +109,6 @@ def _digits(keys: list, radix: int, k: int) -> np.ndarray:
     first, as an object array of Python ints: exact past 2**63."""
     powers = np.array([radix ** i for i in range(k)], dtype=object)
     return np.array(keys, dtype=object)[:, None] // powers % radix
-
-
-def _path_bounds(game, n: int, start: int, targets, leaving: bool,
-                 rule: CostRule) -> list:
-    """Each target's cost along the cheapest of a family of real paths out
-    of convention ``start``, ``inf`` where none reaches a state terminal
-    for it: for each j, the straight run of ``start -> j`` moves, and for
-    two populations up to one such run per population, in either order.
-
-    The runs are priced by ``paths._straight_runs``, as the search prices
-    moves, and added in path order as the search adds them, but for the
-    second population's run: its b moves all face the first run's fixed
-    count, so they cost b times one weight, which rounds apart from b
-    additions by about b ulps of the total.  Until the first run is
-    terminal, the second ends where the first population's flag turns; that
-    flag reads only the second's count, so the count is the same after
-    every first run, and each order is O(n) per j."""
-    flags, weights = _straight_runs(game, n, start, targets, rule)
-    if len(flags) == 1:  # one population: the straight run
-        cost, _ = _reached(weights[0][:, :n], _first(flags[0] ^ leaving))
-        return cost.min(axis=0).tolist()
-    out = []
-    for x, y in ((0, 1), (1, 0)):  # x's run first, facing y on start
-        stop = _first((flags[x][:, :1] & flags[y]) ^ leaving)
-        cost, total = _reached(np.repeat(weights[x][:, :1], n, axis=1), stop)
-        out.append(cost)
-        # x's run halts at a < stop; y's run then ends at the first count b
-        # where x's flag turns, and only when y's flag at a is set.
-        turn = _first(flags[x][:, 1:] ^ leaving) + 1
-        ok = (np.arange(n + 1)[:, None] < stop[:, None]) & flags[y] & (turn <= n)[:, None]
-        cost = total[:, :, None] + np.minimum(turn, n)[:, None] * weights[y][:, :, None]
-        out.append(np.where(ok, cost, np.inf).min(axis=1))
-    return np.min(out, axis=(0, 1)).tolist()
 
 
 def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
@@ -338,10 +299,10 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
     Equals the oracle value: under the structural conditions, which are
     always checked, a least-cost escape consists of repeated identical
     mistakes from the status quo to one other convention, so pricing the
-    k-1 straight runs suffices.  Each spec of ``enumerate_block_paths`` is
-    priced by the running total of its run's weights from
-    ``paths._straight_runs``, the bits ``path_cost`` gives its witness; the
-    first least cost in target order wins, and its witness is walked once.
+    k-1 straight runs suffices.  ``paths._cheapest_spec`` prices each spec
+    of ``enumerate_block_paths`` by the running total of its run's weights,
+    the bits ``path_cost`` gives its witness; the first least cost in target
+    order wins, and its witness is walked once.
     A game that fails the conditions is refused, since a path with two
     targets can then be cheaper, and so is an n above
     ``ONE_POP_SEARCH_CAP``, whose witness would not fit in memory.
@@ -359,11 +320,7 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
     specs = list(enumerate_block_paths(game, n, mbar))
     if not specs:
         raise LdlError("no block escape path exists")
-    _, (weights,) = _straight_runs(game, n, mbar, (mbar,), CostRule.LOGIT)
-    rows = [spec.targets[0] - (spec.targets[0] > mbar) for spec in specs]
-    costs, _ = _reached(weights[rows, :n], np.array([spec.counts for spec in specs]))
-    # ``min`` keeps the first of equal costs: the tie rule is target order.
-    cost, spec = min(zip(costs[:, 0].tolist(), specs), key=lambda pair: pair[0])
+    cost, spec = _cheapest_spec(game, n, mbar, specs)
     return EscapeResult(
         n=n,
         convention=mbar,

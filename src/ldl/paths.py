@@ -5,17 +5,18 @@ reduction to "block" form: a block path leaves the status-quo strategy in
 runs of identical moves (first t1 switches to one target, then t2 to the
 next, and so on) and exits the basin exactly at its final state.  Under the
 structural conditions the search needs only the straight ones, a single run
-to one target.  ``_straight_runs`` prices the k-1 runs in one stacked pass,
-as the least-cost search prices moves: ``enumerate_block_paths`` reads each
-run's basin exit from its flags, ``exit_reduced`` each run's cost from its
-weights, and the search's path bounds both.
+to one target.  ``_straight_run`` prices a run as the least-cost search
+prices moves; the enumeration reads its basin flags, ``exit_reduced`` its
+weights, and the search's ``_path_bounds`` both.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -320,67 +321,114 @@ def _is_block_sequence(seq: Sequence[int]) -> bool:
 # The straight escape paths
 
 
-def _straight_runs(game, n: int, start: int, targets, rule: CostRule) -> tuple:
-    """Each population's basin flags and move weights along the k-1 straight
-    runs out of convention ``start``, one per j != start in ascending order,
-    each population's in one stacked pass.  At count c of run r (c agents of
-    n on j, the rest on ``start``), ``flags[p][r, c, t]`` says whether
-    ``targets[t]`` is a best reply of population p (``faced_products`` and
-    the weak ``>=``, as the least-cost search and ``in_basin`` decide), and
-    ``weights[p][r, c]`` is the cost under ``rule`` of p's next start -> j
-    move, to the bits of ``step_cost``."""
-    k = game.k
-    js = [j for j in range(k) if j != start]
-    rows = range(k - 1)
-    counts = np.zeros((k - 1, n + 1, k))  # c agents of n play j, the rest start
-    counts[:, :, start] = n - np.arange(n + 1)
-    counts[rows, :, js] = np.arange(n + 1)
+_CHUNK = 1 << 14  # counts priced per pass where a run is scanned
+
+
+def _straight_run(game, n: int, start: int, j: int, targets, rule: CostRule,
+                  lo: int = 0, hi: Optional[int] = None) -> tuple:
+    """Each population's basin flags and move weights along the run of
+    ``start -> j`` moves from convention ``start``, at the counts c of j in
+    [lo, hi) (to n by default), each on its own row, so a chunk rounds as
+    the whole run.  ``flags[p][c - lo, t]``: ``targets[t]`` is a weak best
+    reply of population p, as the search and ``in_basin`` decide;
+    ``weights[p][c - lo]``: p's next move under ``rule``, as ``step_cost``."""
+    c = np.arange(lo, n + 1 if hi is None else min(hi, n + 1))
+    counts = np.zeros((len(c), game.k))
+    counts[:, start] = n - c
+    counts[:, j] = c
     flags, weights = [], []  # each population's, facing c agents on j
     for pop in game.populations:
-        prod = faced_products(game, pop, counts.reshape(-1, k))
-        best = prod[:, list(targets)] >= prod.max(axis=1, keepdims=True)
-        flags.append(best.reshape(k - 1, n + 1, -1))
-        cost = cost_vector(game, rule, prod / n, start, pop).reshape(k - 1, n + 1, k)
-        weights.append(cost[rows, :, js])
+        prod = faced_products(game, pop, counts)
+        flags.append(prod[:, list(targets)] >= prod.max(axis=1, keepdims=True))
+        weights.append(cost_vector(game, rule, prod / n, start, pop)[:, j])
     return flags, weights
 
 
+def _chunks(game: OnePopGame, n: int, mbar: int, u: int, stop: int) -> Iterator[tuple]:
+    """Each chunk of the ``mbar -> u`` run below ``stop``, lowest first: its
+    first count, ``mbar`` flags and logit weights, in O(k ``_CHUNK``) memory."""
+    for lo in range(0, stop, _CHUNK):
+        (flags,), (weights,) = _straight_run(game, n, mbar, u, (mbar,), CostRule.LOGIT,
+                                             lo, min(lo + _CHUNK, stop))
+        yield lo, flags[:, 0], weights
+
+
 def _first(terminal: np.ndarray) -> np.ndarray:
-    """The first terminal count along each run, per target; one past the
-    run's last count, which indexes no state, where there is none."""
-    return np.where(terminal.any(axis=1), terminal.argmax(axis=1), terminal.shape[1])
+    """The first terminal count along a run, per target; one past the run's
+    last count, which indexes no state, where there is none."""
+    return np.where(terminal.any(axis=0), terminal.argmax(axis=0), terminal.shape[0])
 
 
-def _reached(run: np.ndarray, counts: np.ndarray) -> tuple:
-    """Each run's cost to ``counts`` (inf one past its last count), and its
-    running totals: the weights added one at a time in path order, as the
-    least-cost search and ``path_cost`` add them."""
-    total = np.array([[*itertools.accumulate(r, initial=0.0), math.inf]
-                      for r in run.tolist()])
-    return np.take_along_axis(total, counts, axis=1), total[:, :-1]
+def _totals(run: np.ndarray) -> np.ndarray:
+    """A run's cost to each count, its weights added one at a time in path
+    order as the search and ``path_cost`` add them; inf one past the last."""
+    return np.array([*itertools.accumulate(run.tolist(), initial=0.0), math.inf])
+
+
+def _path_bounds(game, n: int, start: int, targets, leaving: bool,
+                 rule: CostRule) -> list:
+    """Each target's cost along the cheapest of a family of real paths out
+    of convention ``start``, ``inf`` where none reaches a state terminal
+    for it: for each j, the straight run of ``start -> j`` moves, and for
+    two populations up to one such run per population, in either order.
+
+    Weights are added in path order as the search adds them, but for the
+    second population's b moves, which all face the first run's fixed count
+    and so cost b times one weight (about b ulps off b additions).  Until
+    the first run is terminal, the second ends where the first population's
+    flag turns, a count that reads only the second's: O(n) per j and order."""
+    bounds = np.full(len(targets), math.inf)
+    for j in sorted(set(range(game.k)) - {start}):
+        flags, weights = _straight_run(game, n, start, j, targets, rule)
+        if len(flags) == 1:  # one population: the straight run
+            costs = [_totals(weights[0][:n])[_first(flags[0] ^ leaving)]]
+        else:
+            costs = []
+            for x, y in ((0, 1), (1, 0)):  # x's run first, facing y on start
+                stop = _first((flags[x][:1] & flags[y]) ^ leaving)
+                total = _totals(np.repeat(weights[x][:1], n))
+                # x's run halts at a < stop; y's run then ends at the first
+                # count b where x's flag turns, if y's flag at a is set.
+                turn = _first(flags[x][1:] ^ leaving) + 1
+                ok = (np.arange(n + 1)[:, None] < stop) & flags[y] & (turn <= n)
+                second = total[:-1, None] + np.minimum(turn, n) * weights[y][:, None]
+                costs += [total[stop], np.where(ok, second, np.inf).min(axis=0)]
+        bounds = np.minimum(bounds, np.min(costs, axis=0))
+    return bounds.tolist()
 
 
 def enumerate_block_paths(game: OnePopGame, n: int,
                           mbar: int) -> Iterator[BlockSpec]:
     """The straight block escape paths from the convention ``mbar``.
 
-    For each target u != mbar in ascending order, the spec of one mbar->u
-    run that stops at its first count outside the basin (the first whose
-    ``mbar`` flag from ``_straight_runs`` is off), so at most k-1 specs; a
-    target whose run uses up the status-quo agents inside the basin has
-    none.  Under the structural conditions one of them is a least-cost
-    escape path: the paper's theorem says the most likely escapes consist
-    only of repeated identical mistakes from the status quo to one other
-    convention, so no spec with two targets is needed.
+    For each target u != mbar in ascending order, the mbar->u run to its
+    first count whose ``mbar`` flag is off, scanned in chunks; a run that
+    uses up the status-quo agents inside the basin has no spec.  Under the
+    structural conditions one of these k-1 at most is a least-cost escape:
+    the paper's theorem says the most likely escapes are repeated identical
+    mistakes from the status quo to one other convention.
     """
     if isinstance(game, TwoPopGame):
         raise ConditionError("the reduced search covers one-population games only")
     check_convention(game, mbar)
     n = check_population(n)
-    (flags,), _ = _straight_runs(game, n, mbar, (mbar,), CostRule.LOGIT)
-    if not flags[0, 0, 0]:
-        raise ConditionError("the convention itself is outside its basin")
-    targets = [u for u in range(game.k) if u != mbar]
-    for u, count in zip(targets, _first(~flags)[:, 0].tolist()):
-        if count <= n:
+    for u in sorted(set(range(game.k)) - {mbar}):
+        count = next((lo + int(flags.argmin()) for lo, flags, _
+                      in _chunks(game, n, mbar, u, n + 1) if not flags.all()), None)
+        if count == 0:  # every run starts at the convention
+            raise ConditionError("the convention itself is outside its basin")
+        if count is not None:
             yield BlockSpec((u,), (count,))
+
+
+def _cheapest_spec(game: OnePopGame, n: int, mbar: int, specs) -> tuple:
+    """The least cost over the straight ``specs`` and the first spec at it
+    (target order, as enumerated): each run's weights to its count, added
+    one move at a time as ``path_cost`` adds them along the witness."""
+    def cost(spec: BlockSpec) -> float:
+        total = 0.0
+        for _, _, weights in _chunks(game, n, mbar, *spec.targets, *spec.counts):
+            total = functools.reduce(operator.add, weights.tolist(), total)
+        return total
+
+    return min(((cost(spec), spec) for spec in specs), key=lambda pair: pair[0])

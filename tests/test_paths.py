@@ -517,9 +517,13 @@ def test_exit_reduced_large_population_does_not_recurse():
     assert res.cost == path_cost(TECH, CostRule.LOGIT, res.witness)
 
 
-def test_path_bound_is_the_reduced_cost():
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_path_bound_is_the_reduced_cost(monkeypatch, chunk):
     # The search's bound and the reduced search read one pricer of the
-    # straight runs, so they agree to the bit (inf where no run escapes).
+    # straight runs, so they agree to the bit (inf where no run escapes):
+    # the bound prices each run whole, the reduced search in chunks.
+    if chunk:
+        monkeypatch.setattr("ldl.paths._CHUNK", chunk)
     for g in sweep_games():
         for n in (1, 2, 5, 12, 19, 31, 200):
             for m in range(g.k):
