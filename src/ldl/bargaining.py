@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,40 +19,59 @@ from .errors import ConditionError
 from .games import EQ_TOL, NEAR_TIE, is_number
 
 
+def _pow(base, e: float):
+    """``base ** e`` by libm's pow, one element at a time for an array.
+
+    numpy's vector pow can differ from libm in the last bit, which r2 and l1
+    amplify, and a grid must equal its cells evaluated one at a time.  A base
+    that is not positive goes through numpy, so ``0 ** e`` with ``e < 0`` is
+    inf with numpy's divide-by-zero warning."""
+    if isinstance(base, float):  # np.float64 is one
+        return math.pow(base, e) if base > 0 else float(np.float64(base) ** e)
+    pos = base > 0
+    out = np.empty(base.shape) if pos.all() else base ** e  # numpy where base <= 0
+    kept = base[pos]
+    out[pos] = np.fromiter(map(math.pow, kept.tolist(), repeat(e)), float, kept.size)
+    return out
+
+
 @dataclass(frozen=True)
 class Frontier:
-    """Concave decreasing bargaining frontier f(x) = (a (1 - x/b))**p on [0, b]."""
+    """Concave decreasing bargaining frontier f(x) = (a (1 - x/b))**p on [0, b].
+
+    ``value`` and ``derivative`` take plain float arithmetic for a float x
+    (np.float64 included) and numpy for an array; both round alike.
+    """
 
     a: float
     b: float
     p: float
 
     def __post_init__(self):
-        if not (np.all(np.isfinite((self.a, self.b, self.p)))
+        params = (self.a, self.b, self.p)
+        if not (all(is_number(v) and math.isfinite(v) for v in params)
                 and self.a > 0 and self.b > 0 and 0 < self.p < 1):
-            raise ConditionError("frontier needs finite a > 0, b > 0, 0 < p < 1")
+            raise ConditionError("frontier needs finite numbers a > 0, b > 0, "
+                                 "0 < p < 1")
 
     @property
     def s_bar(self) -> float:
         return self.b
 
-    def value(self, x):
-        base = self.a * np.maximum(1.0 - np.asarray(x, dtype=float) / self.b, 0.0)
-        if base.ndim == 0:
-            return base ** self.p
-        # libm pow per element, as for a scalar: numpy's vector pow can differ
-        # in the last bit, which r2 and l1 amplify, and a grid must equal its
-        # cells evaluated one at a time.
-        return (base.astype(object) ** self.p).astype(float)
+    def _base(self, x):
+        """a (1 - x/b), clipped at 0: a float for a float x, else an array."""
+        if isinstance(x, float):
+            return self.a * max(1.0 - float(x) / self.b, 0.0)
+        return self.a * np.maximum(1.0 - np.asarray(x, dtype=float) / self.b, 0.0)
 
-    def __call__(self, x):
-        out = self.value(x)
-        return float(out) if np.ndim(x) == 0 else out
+    def value(self, x):
+        """f at x: a float for a scalar x, an array for an array."""
+        return _pow(self._base(x), self.p)
+
+    __call__ = value
 
     def derivative(self, x):
-        inner = np.maximum(1.0 - np.asarray(x, dtype=float) / self.b, 0.0)
-        out = -(self.p * self.a / self.b) * (self.a * inner) ** (self.p - 1.0)
-        return float(out) if np.ndim(x) == 0 else out
+        return -(self.p * self.a / self.b) * _pow(self._base(x), self.p - 1.0)
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
@@ -120,9 +140,10 @@ def solve_solutions(frontier: Frontier) -> BargainingSolutions:
 # Demand-game transition terms
 
 
-# The grid pass holds a few float arrays per cell, about 125 bytes a cell at
-# its peak: 10**6 cells (delta = 3e-6 on s_bar = 3) take about 0.5 s and
-# 120 MB above the interpreter's baseline on a 2-vCPU KVM guest.
+# The grid pass holds a few float arrays per cell, about 115-140 bytes a cell
+# at its peak: 10**6 cells (delta = 3e-6 on s_bar = 3) take about 0.3 s and
+# 115 MB above the interpreter's baseline, and delta = 1e-5 (300,000 cells)
+# about 0.1 s and 42 MB, on a 2-vCPU KVM guest.
 MAX_GRID = 1_000_000
 
 
@@ -147,16 +168,29 @@ def rl_functions(frontier: Frontier, delta: float, m: float) -> tuple[float, flo
     higher demand on the grid (m + 1 <= L - 1).
     """
     L = _grid_size(frontier, delta)
+    if not is_number(m):
+        raise ConditionError(f"demand index {m!r} must be a number")
     if not 1 <= m <= L - 2:
         raise ConditionError(f"demand index {m} outside 1..{L - 2}")
     return _neighbour_terms(frontier, delta, delta * m)
 
 
 def _neighbour_terms(f: Frontier, delta: float, x):
-    """(r1, r2, l1, l2) at demand ``x`` (a float or an array), with f
-    evaluated once at each of x - delta, x and x + delta."""
-    below, here, above = f(x - delta), f(x), f(x + delta)
-    r1 = (here - above) * x / (x + delta)
+    """(r1, r2, l1, l2) at demand ``x`` (a float or a 1-D array), from f at
+    x - delta, x and x + delta.  Over an array f is evaluated once per
+    distinct point: where a cell's x - delta (x + delta) is the x of the
+    cell before (after) it bit for bit, as in most cells of a grid, that
+    cell's value is reused, which has the bits of a fresh evaluation."""
+    lo, hi = x - delta, x + delta
+    if not isinstance(x, np.ndarray):
+        below, here, above = f(lo), f(x), f(hi)
+    else:
+        here = f.value(x)
+        below, above = np.roll(here, 1), np.roll(here, -1)
+        fresh_lo, fresh_hi = lo != np.roll(x, 1), hi != np.roll(x, -1)
+        values = f.value(np.concatenate((lo[fresh_lo], hi[fresh_hi])))
+        below[fresh_lo], above[fresh_hi] = np.split(values, [np.count_nonzero(fresh_lo)])
+    r1 = (here - above) * x / hi
     r2 = x * (here - above) / here
     l1 = here * delta / x
     l2 = delta * here / below
@@ -243,8 +277,10 @@ def stable_division(frontier: Frontier, delta: float,
     terms[2:, 0] = np.inf           # demand 1 has no lower neighbour
     if rule == "intentional":
         terms[[0, 3]] = np.inf      # r1 and l2 are unintentional moves
-    binding_idx = np.argmin(terms, axis=0)
-    radii = terms[binding_idx, cells - 1]
+    radii = terms.min(axis=0)
+    binding_idx = np.full(radii.shape, 3)
+    for i in (2, 1, 0):  # the first least term wins, as with argmin
+        binding_idx[terms[i] == radii] = i
     winners = tuple((cells[radii >= radii.max() - 1e-12]).tolist())
     m_star = winners[0]
     if len(winners) > 1:
@@ -271,7 +307,7 @@ def stable_division(frontier: Frontier, delta: float,
             f"argmax {m_star}"
         )
 
-    bindings = tuple(_TERMS[i] for i in binding_idx)
+    bindings = tuple(np.array(_TERMS, dtype=object)[binding_idx].tolist())
     binding = bindings[m_star - 1]
     return StableDivision(
         rule=rule,

@@ -128,10 +128,10 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     priced in one pass; one population's prices are dropped once used.  A
     price row holds only the moves i -> j != i, so no self-move is probed.
 
-    A move is dropped before its probe when ``d + w`` exceeds U, the largest
-    of ``_path_bounds``'s target costs with ``NEAR_TIE`` relative slack for
-    their summation order; U is ``inf`` when some target has no bounding
-    path.  The answers cannot change:
+    An escape (``leaving``) drops a move before its probe when ``d + w``
+    exceeds U, the largest of ``_path_bounds``'s target costs with
+    ``NEAR_TIE`` relative slack for their summation order; U is ``inf`` when
+    some target has no bounding path.  The answers cannot change:
 
     - every state expanded before the search returns has ``d <= D* <= U``,
       D* the largest target cost returned, since each bound is the cost of
@@ -142,6 +142,11 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     - so the expanded states, their ``(d, counter)`` order, distances,
       parents, witnesses and the guardrail count are unchanged.  Only the
       pushes and the states sent to ``_price`` shrink.
+
+    A transition search (not ``leaving``) takes no bound: it expands nearly
+    every state below its dearest target, so U drops few moves, and a state
+    whose first move in is dropped is found only just before it is
+    expanded, which splits the pricing into more and smaller batches.
 
     The bound is computed after every refusal of bad input, so those keep
     their type and message.
@@ -160,8 +165,9 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     steps = [[[(pj - pi) * place ** side for pj in powers if pj != pi] for pi in powers]
              for side in range(len(pops))]  # the key change of each move i -> j != i
     shifts = [s for row in steps[0] for s in row]
-    bounds = _path_bounds(game, radix - 1, start, targets, leaving, rule)
-    cap = max(bounds) * (1 + NEAR_TIE)
+    cap = math.inf  # a transition search takes no bound
+    if leaving:
+        cap = max(_path_bounds(game, radix - 1, start, targets, True, rule)) * (1 + NEAR_TIE)
     remaining = (1 << len(targets)) - 1  # bit p: targets[p] not yet reached
     flip = remaining if leaving else 0
     results = [None] * len(targets)

@@ -24,6 +24,7 @@ The package's tolerances:
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass
@@ -218,55 +219,107 @@ def _support_family(k: int) -> tuple[list[tuple[int, ...]], bool]:
     return fam, True
 
 
-def _solve_support(mat: np.ndarray, support: Sequence[int]):
-    """Solve one population's indifference system on ``support``, with ``mat``
-    its oriented matrix; returns (status, the faced population's mixture)."""
-    k = len(mat)
-    t = list(support)
-    m = len(t)
-    p = np.zeros(k)
-    if m == 1:
-        i = t[0]
-        col = mat[:, i].tolist()
-        if max(col[:i] + col[i + 1:]) >= col[i]:
-            return "absent", None
-        p[i] = 1.0
-        return "ok", p
-    lhs = np.zeros((m, m))
-    rhs = np.zeros(m)
-    for row, i in enumerate(t[1:]):
-        lhs[row, :] = (mat[t[0]] - mat[i])[t]
-    lhs[m - 1, :] = 1.0
-    rhs[m - 1] = 1.0
+_STATUSES = ("ok", "absent", "degenerate")  # a support's worst side decides
+
+
+def _stacked_solve(lhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of systems ``lhs @ x = e_last`` in one call, bit-equal
+    to one call each; a stack LAPACK finds exactly singular is solved again
+    one system at a time to mark which are.  Returns the solutions (0 where
+    singular) and that mark."""
+    rhs = np.zeros(lhs.shape[:2] + (1,))
+    rhs[:, -1] = 1.0
     try:
-        sol = np.linalg.solve(lhs, rhs)
+        return np.linalg.solve(lhs, rhs)[..., 0], np.zeros(len(lhs), bool)
     except np.linalg.LinAlgError:
-        return "degenerate", None
-    if not np.isfinite(sol).all() or (sol <= POS_TOL).any():
-        return "absent", None
-    p[t] = sol
-    payoffs = (mat @ p).tolist()
-    common = payoffs[t[0]]
-    if max(abs(payoffs[i] - common) for i in t) > EQ_TOL:
-        return "degenerate", None
-    if any(payoffs[q] > common + EQ_TOL for q in range(k) if q not in t):
-        return "absent", None
-    return "ok", p
+        sol, singular = np.zeros(rhs.shape[:2]), np.zeros(len(lhs), bool)
+        for s, (a, b) in enumerate(zip(lhs, rhs)):
+            try:
+                sol[s] = np.linalg.solve(a, b)[:, 0]
+            except np.linalg.LinAlgError:
+                singular[s] = True
+        return sol, singular
 
 
-def _support_check(game: Game, support: Sequence[int]) -> SupportCheck:
-    """Every population supported on ``support``: each side is solved on its
-    oriented matrix, and a degenerate side is reported before an absent one.
-    A two-population point is (p_alpha, p_beta); each side's solve yields
-    the mixture of the population it faces, hence the reversal."""
-    t = tuple(support)
-    sides = [_solve_support(game.oriented(pop), t) for pop in game.populations]
-    statuses = [s for s, _ in sides]
-    for status in ("degenerate", "absent"):
-        if status in statuses:
-            return SupportCheck(t, status)
-    points = [p for _, p in reversed(sides)]
-    return SupportCheck(t, "ok", points[0] if len(points) == 1 else tuple(points))
+class _Layout:
+    """The index arrays of a support family on k strategies: its supports
+    grouped by size (their rows and the supports as an array), which
+    strategies each holds, its first strategy, and whether it is a
+    singleton."""
+
+    def __init__(self, family: list, k: int):
+        self.family = family
+        members: dict[int, list[int]] = {}
+        for q, t in enumerate(family):
+            members.setdefault(len(t), []).append(q)
+        self.groups = [(np.array(rows), np.array([family[q] for q in rows]))
+                       for rows in members.values()]
+        self.inside = np.zeros((len(family), k), bool)
+        for rows, t in self.groups:
+            self.inside[rows[:, None], t] = True
+        self.first = np.array([t[0] for t in family])
+        self.single = self.inside.sum(axis=1, keepdims=True) == 1
+
+
+@functools.cache
+def _family_layout(k: int) -> tuple[_Layout, bool]:
+    """``_support_family(k)``'s layout, built once per k, and whether the
+    family is truncated."""
+    family, partial = _support_family(k)
+    return _Layout(family, k), partial
+
+
+def _solve_supports(mat: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Solve one population's indifference system on each support of
+    ``layout``'s family, with ``mat`` its oriented matrix: each support's
+    index into ``_STATUSES`` and, row by row, the faced population's mixture
+    (meaningful where the status is ok).
+
+    The systems of one size are solved as one stack.  A singleton is absent
+    when some other strategy pays at least as much against it.  A larger
+    support is degenerate when singular, absent when a weight is not above
+    ``POS_TOL``, degenerate when its payoffs differ by more than ``EQ_TOL``,
+    and absent when an outside strategy pays more than ``EQ_TOL`` above them.
+    """
+    count, k = len(layout.family), len(mat)
+    p = np.zeros((count, k))
+    singular = np.zeros(count, bool)
+    for rows, t in layout.groups:
+        m = t.shape[1]
+        if m == 1:
+            p[rows, t[:, 0]] = 1.0
+            continue
+        sub = mat[t[:, :, None], t[:, None, :]]
+        lhs = np.ones((len(rows), m, m))  # t0's row less each other's, then sum 1
+        lhs[:, :-1] = sub[:, :1] - sub[:, 1:]
+        p[rows[:, None], t], singular[rows] = _stacked_solve(lhs)
+    inside = layout.inside
+    absent = singular | (inside & ~(np.isfinite(p) & (p > POS_TOL))).any(axis=1)
+    p[absent] = 0.0
+    payoffs = np.matmul(mat[None], p[:, :, None])[:, :, 0]  # rounds like mat @ p
+    common = payoffs[np.arange(count), layout.first][:, None]
+    uneven = (inside & (np.abs(payoffs - common) > EQ_TOL)).any(axis=1)
+    beats = np.where(layout.single, payoffs >= common, payoffs > common + EQ_TOL)
+    beaten = (beats & ~inside).any(axis=1)
+    status = beaten.astype(int)
+    status[uneven] = 2
+    status[absent] = 1
+    status[singular] = 2
+    return status, p
+
+
+def _support_checks(game: Game, layout: _Layout) -> tuple[SupportCheck, ...]:
+    """Every population supported on each support of ``layout``'s family:
+    each side is solved on its oriented matrix, and a degenerate side is
+    reported before an absent one.  A two-population point is (p_alpha,
+    p_beta); each side's solve yields the mixture of the population it
+    faces, hence the reversal."""
+    sides = [_solve_supports(game.oriented(pop), layout) for pop in game.populations]
+    worst = np.maximum.reduce([status for status, _ in sides]).tolist()
+    points = list(zip(*(p for _, p in reversed(sides))))
+    return tuple(SupportCheck(tuple(t), _STATUSES[status]) if status else
+                 SupportCheck(tuple(t), "ok", pt if len(pt) > 1 else pt[0])
+                 for t, status, pt in zip(layout.family, worst, points))
 
 
 def mixed_equilibrium(game: Game, support: Sequence[int]) -> Optional[object]:
@@ -283,7 +336,7 @@ def mixed_equilibrium(game: Game, support: Sequence[int]) -> Optional[object]:
             is_number(i, numbers.Integral) and 0 <= i < game.k for i in t):
         raise ConditionError(f"support {t} must list distinct strategies "
                              f"in 0..{game.k - 1}")
-    return _support_check(game, t).point
+    return _support_checks(game, _Layout([t], game.k))[0].point
 
 
 def strict_conventions(game: Game) -> list[bool]:
@@ -310,10 +363,9 @@ def _validate(game: Game, strict: bool,
               conflict: Optional[bool] = None) -> ConditionReport:
     """Coordination, the bandwagon margins and each support, on every
     population's oriented matrix."""
-    family, partial = _support_family(game.k)
-    checks = tuple(_support_check(game, t) for t in family)
+    layout, partial = _family_layout(game.k)
     return ConditionReport(all(strict_conventions(game)), _bandwagon(game, strict),
-                           checks, conflict, partial)
+                           _support_checks(game, layout), conflict, partial)
 
 
 def validate_one_pop(game: OnePopGame) -> ConditionReport:

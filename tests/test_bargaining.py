@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ldl import (
     ConditionError,
@@ -19,6 +20,8 @@ from ldl.bargaining import _neighbour_terms
 
 PANEL_A = Frontier(1, 3, 0.5)   # f(x) = sqrt(1 - x/3) on [0, 3]
 PANEL_B = Frontier(3, 1, 0.5)   # f(x) = sqrt(3 (1 - x)) on [0, 1]
+# The benchmark's frontier parameter lists
+BENCH_A, BENCH_B, BENCH_P = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0), (1, 2, 3, 4), (0.3, 0.4, 0.5, 0.6, 0.7)
 
 
 def seeded_frontiers(count, seed):
@@ -55,6 +58,45 @@ def test_frontier_validation():
 def test_frontier_refuses_non_finite_parameters(params):
     with pytest.raises(ConditionError, match="finite"):
         Frontier(*params)
+
+
+@pytest.mark.parametrize("params", [
+    (True, 3, 0.5), (1, False, 0.5), (1, 3, True), ("1", 3, 0.5), (1, None, 0.5),
+    (1, 3, "0.5"), (1, [3], 0.5),
+])
+def test_frontier_refuses_booleans_and_non_numbers(params):
+    with pytest.raises(ConditionError, match="finite numbers"):
+        Frontier(*params)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(a=st.sampled_from(BENCH_A), b=st.sampled_from(BENCH_B), p=st.sampled_from(BENCH_P),
+       L=st.integers(3, 5_000), u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(a=1.0, b=3, p=0.5, L=3, u=0.5).via("the coarsest grid")
+@example(a=4.0, b=3, p=0.7, L=5_000, u=0.999).via("the finest grid")
+def test_grid_terms_are_the_per_cell_terms_bit_for_bit(a, b, p, L, u):
+    fr = Frontier(a, b, p)
+    delta = b / L
+    grid = _neighbour_terms(fr, delta, delta * np.arange(1, L))
+    cells = zip(*(_neighbour_terms(fr, delta, delta * m) for m in range(1, L)))
+    assert [bits(g) for g in grid] == [bits(c) for c in cells]
+    # The scalar (plain float) and array paths of the frontier agree at 0,
+    # inside, at b and beyond b, where the derivative is -inf with numpy's
+    # divide-by-zero warning on both paths.
+    xs = [0.0, b * u, float(b), 2.0 * b]
+    assert bits(fr.value(np.array(xs))) == bits([fr.value(x) for x in xs])
+    assert bits(fr(np.array(xs))) == bits([fr(np.float64(x)) for x in xs])
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        slopes = fr.derivative(np.array(xs))
+    assert bits(slopes[:2]) == bits([fr.derivative(x) for x in xs[:2]])
+    for x in xs[2:]:
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert fr.derivative(x) == -math.inf
+    assert slopes[2] == slopes[3] == -math.inf
 
 
 def test_frontier_values_panel_a():
@@ -139,6 +181,17 @@ def test_rl_monotonicity_full_sweep():
 def test_rl_out_of_range():
     with pytest.raises(ConditionError):
         rl_functions(PANEL_A, 0.5, 5)  # no right neighbor at the top demand
+
+
+@pytest.mark.parametrize("m", [True, False, "2", None, [2]])
+def test_rl_functions_refuses_a_demand_index_that_is_not_a_number(m):
+    with pytest.raises(ConditionError, match="must be a number"):
+        rl_functions(PANEL_A, 0.5, m)
+
+
+def test_rl_functions_takes_a_fractional_or_numpy_index():
+    assert rl_functions(PANEL_A, 0.5, 1.5) == _neighbour_terms(PANEL_A, 0.5, 0.75)
+    assert rl_functions(PANEL_A, 0.5, np.int64(2)) == rl_functions(PANEL_A, 0.5, 2)
 
 
 def test_crossings_exist_and_converge():

@@ -29,7 +29,8 @@ from ldl import (
 from ldl.chain import enumerate_states
 from ldl.escape import two_pop_thresholds
 from ldl.games import EQ_TOL, POS_TOL, _support_family
-from gamegen import TECH, TWO_POP_2X2, TWO_STRATEGY, random_condition_a_games
+from gamegen import (TECH, TWO_POP_2X2, TWO_STRATEGY, random_condition_a_games,
+                     random_decimal_games)
 
 
 def test_tech_game_matrix():
@@ -355,6 +356,131 @@ def test_degenerate_side_is_reported_before_an_absent_one():
                      reference_solve_support_two_pop(game, (0, 1))[0]}
         assert status == "degenerate"
         assert mixed_equilibrium(game, (0, 1)) is None
+
+
+# ---------------------------------------------------------------------------
+# The stacked support scan against the one-system-at-a-time solve it
+# replaced, which survives here only as the reference
+
+
+def reference_solve_support(mat, support):
+    """One population's indifference system on ``support`` alone, with
+    ``mat`` its oriented matrix: (status, the faced population's mixture)."""
+    k = len(mat)
+    t = list(support)
+    m = len(t)
+    p = np.zeros(k)
+    if m == 1:
+        i = t[0]
+        col = mat[:, i].tolist()
+        if max(col[:i] + col[i + 1:]) >= col[i]:
+            return "absent", None
+        p[i] = 1.0
+        return "ok", p
+    lhs = np.zeros((m, m))
+    rhs = np.zeros(m)
+    for row, i in enumerate(t[1:]):
+        lhs[row, :] = (mat[t[0]] - mat[i])[t]
+    lhs[m - 1, :] = 1.0
+    rhs[m - 1] = 1.0
+    try:
+        sol = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        return "degenerate", None
+    if not np.isfinite(sol).all() or (sol <= POS_TOL).any():
+        return "absent", None
+    p[t] = sol
+    payoffs = (mat @ p).tolist()
+    common = payoffs[t[0]]
+    if max(abs(payoffs[i] - common) for i in t) > EQ_TOL:
+        return "degenerate", None
+    if any(payoffs[q] > common + EQ_TOL for q in range(k) if q not in t):
+        return "absent", None
+    return "ok", p
+
+
+def reference_support_check(game, support):
+    """Every population's side solved alone; a degenerate side is reported
+    before an absent one, and a two-population point is (p_alpha, p_beta)."""
+    sides = [reference_solve_support(game.oriented(pop), support)
+             for pop in game.populations]
+    statuses = [status for status, _ in sides]
+    for status in ("degenerate", "absent"):
+        if status in statuses:
+            return status, None
+    points = [p for _, p in reversed(sides)]
+    return "ok", points[0] if len(points) == 1 else tuple(points)
+
+
+def point_bits(point):
+    """A support point as bytes, so that == compares it bit for bit."""
+    if point is None:
+        return None
+    return tuple(p.tobytes() for p in (point if isinstance(point, tuple) else (point,)))
+
+
+def unconstrained_games(count, seed, k):
+    """Payoffs in -1..1: ties, exactly singular systems and absent mixtures."""
+    rng = np.random.default_rng(seed)
+    return [OnePopGame(rng.integers(-1, 2, size=(k, k)).astype(float))
+            for _ in range(count)]
+
+
+def large_payoff_games(count, seed, k):
+    """One-decimal payoffs near 1e7: some solved systems miss ``EQ_TOL`` by
+    rounding alone, so their supports are degenerate though not singular."""
+    rng = np.random.default_rng(seed)
+    return [OnePopGame(np.round(rng.normal(size=(k, k)) * 1e7, 1)) for _ in range(count)]
+
+
+# Strategies 0 and 1 are identical, so the systems of (0, 1) and (0, 1, 2)
+# are exactly singular, while (0, 2) and (1, 2) share (0, 1)'s stack.
+IDENTICAL = OnePopGame([[2, 2, 0], [2, 2, 0], [1, 1, 3]])
+NINE = OnePopGame(np.random.default_rng(9).integers(-3, 4, size=(9, 9))
+                  + np.diag(np.arange(8, 17)))   # k = 9: a truncated family
+
+SCAN_CASES = {
+    "samplers": (random_condition_a_games(25, 7, 3) + random_condition_a_games(10, 11, 4)
+                 + random_decimal_games(10, 5, 3) + random_condition_a_games(12, 3, 5)),
+    "unconstrained": [g for k in (3, 4, 5) for g in unconstrained_games(15, k, k)],
+    "ndg": [ndg_build(fr, L) for fr in (Frontier(1, 3, 0.5), Frontier(3, 1, 0.5))
+            for L in range(4, 9)],
+    "large": [g for k in (3, 4) for g in large_payoff_games(15, k, k)],
+    "identical": [IDENTICAL, TwoPopGame(IDENTICAL.payoffs, IDENTICAL.payoffs.T)],
+    "truncated": [NINE],
+}
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_stacked_support_scan_equals_the_per_support_solve(case):
+    for game in SCAN_CASES[case]:
+        two_pop = isinstance(game, TwoPopGame)
+        rep = validate_two_pop(game, 0) if two_pop else validate_one_pop(game)
+        family, partial = _support_family(game.k)
+        assert rep.partial == partial == (game.k > 8)
+        want = [reference_support_check(game, t) for t in family]
+        assert [(c.support, c.status) for c in rep.supports_ok] == [
+            (t, status) for t, (status, _) in zip(family, want)]
+        assert [point_bits(c.point) for c in rep.supports_ok] == [
+            point_bits(point) for _, point in want]
+        for t, (_, point) in zip(family, want):
+            assert point_bits(mixed_equilibrium(game, t[::-1])) == point_bits(
+                reference_support_check(game, t[::-1])[1])
+
+
+def test_an_exactly_singular_system_leaves_its_stack_solved():
+    statuses = {c.support: c.status for c in validate_one_pop(IDENTICAL).supports_ok}
+    assert statuses[(0, 1)] == statuses[(0, 1, 2)] == "degenerate"
+    assert statuses[(0, 2)] != "degenerate" and statuses[(1, 2)] != "degenerate"
+
+
+def test_a_non_finite_solution_is_absent_without_a_warning(monkeypatch):
+    def overflowed(lhs):  # inf - inf in the payoffs would warn
+        return np.full(lhs.shape[:2], np.inf), np.zeros(len(lhs), bool)
+
+    monkeypatch.setattr("ldl.games._stacked_solve", overflowed)
+    statuses = [c.status for c in validate_one_pop(TECH).supports_ok]
+    assert statuses == ["ok"] * 3 + ["absent"] * 4
 
 
 def _outcome(fn, *args):
