@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConditionError
-from .games import EQ_TOL, NEAR_TIE, is_number
+from .games import EQ_TOL, MAX_GRID, NEAR_TIE, all_numbers, is_number
 
 
 def _pow(base, e: float):
@@ -59,9 +59,12 @@ class Frontier:
         return self.b
 
     def _base(self, x):
-        """a (1 - x/b), clipped at 0: a float for a float x, else an array."""
+        """a (1 - x/b), clipped at 0: a float for a float x, else an array.
+        A str, bool or None x, alone or inside an array, is refused."""
         if isinstance(x, float):
             return self.a * max(1.0 - float(x) / self.b, 0.0)
+        if not all_numbers(x):
+            raise ConditionError(f"the frontier takes numbers, got {x!r}")
         return self.a * np.maximum(1.0 - np.asarray(x, dtype=float) / self.b, 0.0)
 
     def value(self, x):
@@ -138,13 +141,6 @@ def solve_solutions(frontier: Frontier) -> BargainingSolutions:
 
 # ---------------------------------------------------------------------------
 # Demand-game transition terms
-
-
-# The grid pass holds a few float arrays per cell, about 115-140 bytes a cell
-# at its peak: 10**6 cells (delta = 3e-6 on s_bar = 3) take about 0.3 s and
-# 115 MB above the interpreter's baseline, and delta = 1e-5 (300,000 cells)
-# about 0.1 s and 42 MB, on a 2-vCPU KVM guest.
-MAX_GRID = 1_000_000
 
 
 def _grid_size(frontier: Frontier, delta: float) -> int:

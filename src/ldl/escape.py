@@ -88,27 +88,39 @@ def _price(game, rule: CostRule, targets, pop: Optional[str], counts) -> tuple:
     best = prod[:, list(targets)] >= prod.max(axis=1, keepdims=True)
     masks = (best @ _bits(len(targets))).tolist()
     pay = prod / counts.sum(axis=1, keepdims=True)
-    better = rule is CostRule.BETTER_REPLY
-    costs = (np.stack([cost_vector(game, rule, pay, i, pop) for i in range(k)], axis=1)
-             if better else cost_vector(game, rule, pay, 0, pop)[:, None])
-    src, dst = np.nonzero(~np.eye(k, dtype=bool))  # the moves i -> j != i, in order
-    moves = costs[:, src if better else 0, dst]
+    src, dst = _moves(k)
+    if rule is CostRule.BETTER_REPLY:
+        costs = np.stack([cost_vector(game, rule, pay, i, pop) for i in range(k)], axis=1)
+        moves = costs[:, src, dst].reshape(-1, k, k - 1)
+    else:
+        moves = cost_vector(game, rule, pay, 0, pop).take(dst, axis=1).reshape(-1, k, k - 1)
     if pop is not None:
-        return masks, moves.reshape(-1, k, k - 1).tolist()
-    return masks, np.where(counts[:, src] > 0, moves, np.inf).tolist()
+        return masks, moves.tolist()
+    moves[counts == 0] = np.inf  # no agent plays the source
+    return masks, moves.reshape(-1, k * (k - 1)).tolist()
+
+
+@functools.cache
+def _moves(k: int) -> tuple:
+    """The sources and targets of the moves i -> j != i, in canonical order."""
+    return np.nonzero(~np.eye(k, dtype=bool))
 
 
 @functools.cache
 def _bits(count: int) -> np.ndarray:
-    """Bit p of a basin mask for each p < ``count``, as Python ints."""
-    return np.array([1 << p for p in range(count)], dtype=object)
+    """Bit p of a basin mask for each p < ``count``: int64 below 63 bits,
+    Python ints past them."""
+    return np.array([1 << p for p in range(count)],
+                    dtype=np.int64 if count < 63 else object)
 
 
 def _digits(keys: list, radix: int, k: int) -> np.ndarray:
     """The k digits in radix ``radix`` of each int key, least significant
-    first, as an object array of Python ints: exact past 2**63."""
-    powers = np.array([radix ** i for i in range(k)], dtype=object)
-    return np.array(keys, dtype=object)[:, None] // powers % radix
+    first: in int64 when every k-digit key is below 2**63, else in an object
+    array of Python ints, exact at any width."""
+    dtype = np.int64 if radix ** k <= 2 ** 63 else object
+    powers = np.array([radix ** i for i in range(k)], dtype=dtype)
+    return np.array(keys, dtype=dtype)[:, None] // powers % radix
 
 
 def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
@@ -189,16 +201,22 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
         found.clear()
 
     prices = tuple({} for _ in pops)  # faced key -> (mask, weights[, sources])
+    # Each population's key changes, weight rows and sources at the
+    # two-population state being expanded, filled in place.  Its own counts
+    # are the ones the other faces, so its sources come with the other's
+    # price entry.
+    sides = [[table, None, None] for table in steps]
     x = (radix - 1) * powers[start] * (1 + place if two_pop else 1)  # all play start
     found = [x]  # states discovered since the last batch
     dist = {x: 0.0}
     parent: dict = {x: None}
     heap = [(0.0, 0, x)]
+    heappop, heappush, get = heapq.heappop, heapq.heappush, dist.get
     counter = 1
     expanded = 0
     inf = math.inf
     while heap:
-        d, _, x = heapq.heappop(heap)
+        d, _, x = heappop(heap)
         if d > dist[x]:
             continue
         expanded += 1
@@ -208,17 +226,14 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
             if alpha is None or beta is None:
                 price()
                 alpha, beta = prices[0][fa], prices[1][fb]
-            (mask_a, rows_a, src_b), (mask_b, rows_b, src_a) = alpha, beta
+            mask_a, sides[0][1], sides[1][2] = alpha
+            mask_b, sides[1][1], sides[0][2] = beta
             mask = mask_a & mask_b
-            # A population's own counts are the counts the other one faces.
-            runs = [(steps[0][i], rows_a[i]) for i in src_a]
-            runs += [(steps[1][i], rows_b[i]) for i in src_b]
         else:
             if (entry := prices[0].pop(x, None)) is None:
                 price()
                 entry = prices[0].pop(x)
             mask, weights = entry
-            runs = ((shifts, weights),)
         hit = (mask ^ flip) & remaining
         if hit:
             keys, y = [], x
@@ -226,10 +241,10 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
                 keys += faced(y)
                 y = parent[y]
             keys.reverse()  # from the start, alpha's key before beta's
-            sides = list(map(tuple, _digits(keys, radix, k).tolist()))
+            states = list(map(tuple, _digits(keys, radix, k).tolist()))
             res = EscapeResult(n=n, convention=start, rule=rule, cost=d,
                                normalized=d / n, witness=Path(tuple(
-                                   zip(sides[::2], sides[1::2]) if two_pop else sides)))
+                                   zip(states[::2], states[1::2]) if two_pop else states)))
             results = [res if hit >> p & 1 else r for p, r in enumerate(results)]
             remaining ^= hit
             if not remaining:
@@ -239,19 +254,37 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
                 f"search expanded more than {guardrail} states; "
                 "raise the guardrail to proceed"
             )
-        for moves, weights in runs:
-            for s, w in zip(moves, weights):
+        # A relax body per shape: one population's loop runs flat over its
+        # row, without the population and source levels two populations need.
+        if two_pop:
+            for table, rows, sources in sides:
+                for i in sources:
+                    for s, w in zip(table[i], rows[i]):
+                        nd = d + w
+                        if nd > cap:
+                            continue
+                        y = x + s
+                        old = get(y, inf)
+                        if nd < old:
+                            if old == inf:  # distances are finite, so y is new
+                                found.append(y)
+                            dist[y] = nd
+                            parent[y] = x
+                            heappush(heap, (nd, counter, y))
+                            counter += 1
+        else:
+            for s, w in zip(shifts, weights):
                 nd = d + w
                 if nd > cap:
                     continue
                 y = x + s
-                old = dist.get(y, inf)
+                old = get(y, inf)
                 if nd < old:
                     if old == inf:  # distances are finite, so y is new
                         found.append(y)
                     dist[y] = nd
                     parent[y] = x
-                    heapq.heappush(heap, (nd, counter, y))
+                    heappush(heap, (nd, counter, y))
                     counter += 1
     raise LdlError("no terminal state is reachable")
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -40,6 +41,14 @@ POS_TOL = 1e-12       # strict-positivity cutoff for support weights
 NEAR_TIE = 1e-9       # two computed costs or splits equal up to rounding
 FULL_SUPPORT_SCAN_MAX_K = 8   # beyond this the support scan is truncated
 
+# The most cells a demand grid may hold: ``bargaining``'s grid pass (about
+# 115-140 bytes a cell at its peak: 10**6 cells, delta = 3e-6 on s_bar = 3,
+# take about 0.3 s and 115 MB above the interpreter's baseline, and
+# delta = 1e-5, 300,000 cells, about 0.1 s and 42 MB, on a 2-vCPU KVM
+# guest), and each of ``ndg_build``'s two (L - 1) x (L - 1) matrices, so
+# L <= 1,001 there.
+MAX_GRID = 1_000_000
+
 
 def is_number(x, kind: type = numbers.Real) -> bool:
     """``x`` is a ``kind`` (``numbers.Real`` or ``numbers.Integral``); a bool
@@ -47,15 +56,21 @@ def is_number(x, kind: type = numbers.Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def all_numbers(raw) -> bool:
+    """``raw`` is a number or an array (or nested list) of them: a str, bool
+    or None anywhere in it is not.  A numeric ndarray passes unscanned."""
+    if isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf":
+        return True
+    return all(is_number(x) for x in np.array(raw, dtype=object).flat)
+
+
 def _payoff_matrix(raw, name: str) -> np.ndarray:
     """``raw`` as a read-only square float matrix of finite entries; a
     string or boolean entry is refused, not converted."""
     malformed = ConditionError(f"{name} must be an array of finite numbers "
                                "in rows of equal length")
-    if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf"):
-        cells = np.array(raw, dtype=object).flat
-        if not all(is_number(x) for x in cells):
-            raise malformed
+    if not all_numbers(raw):
+        raise malformed
     try:
         a = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -411,10 +426,16 @@ def ndg_build(frontier, L: int) -> TwoPopGame:
     Demands are ``delta * s`` for s = 1..L-1 with ``delta = s_bar / L``;
     strategy index ``s - 1`` (0-based) carries demand ``delta * s``.
     Compatible demands pay (demand, frontier value); incompatible pay zero.
+    ``L`` is an integer >= 3 whose two (L - 1) x (L - 1) payoff matrices
+    hold at most ``MAX_GRID`` cells each, so L <= 1,001.
     """
-    if int(L) != L or L < 3:
-        raise ConditionError("L must be an integer >= 3")
+    if not (is_number(L) and (isinstance(L, numbers.Integral) or math.isfinite(L))
+            and L == int(L) and L >= 3):
+        raise ConditionError(f"L must be an integer >= 3, got {L!r}")
     L = int(L)
+    if (L - 1) ** 2 > MAX_GRID:
+        raise ConditionError(f"L={L} gives payoff matrices of {(L - 1) ** 2} cells, "
+                             f"above the supported {MAX_GRID}")
     try:
         s_bar = float(frontier.s_bar)
         f0 = float(frontier(s_bar / L))
@@ -423,13 +444,12 @@ def ndg_build(frontier, L: int) -> TwoPopGame:
     if not np.isfinite(s_bar) or s_bar <= 0 or not np.isfinite(f0):
         raise ConditionError("invalid frontier")
     delta = s_bar / L
-    k = L - 1
-    alpha = np.zeros((k, k))
-    beta = np.zeros((k, k))
-    for i in range(1, L):
-        for j in range(i, L):
-            alpha[i - 1, j - 1] = delta * i
-            beta[i - 1, j - 1] = frontier(delta * j)
+    demands = [delta * s for s in range(1, L)]
+    values = np.array([float(frontier(x)) for x in demands])  # one call per demand
+    alpha, beta = np.zeros((L - 1, L - 1)), np.zeros((L - 1, L - 1))
+    for i, demand in enumerate(demands):  # compatible: column j >= row i
+        alpha[i, i:] = demand
+        beta[i, i:] = values[i:]
     return TwoPopGame(alpha, beta)
 
 

@@ -69,6 +69,17 @@ def test_frontier_refuses_booleans_and_non_numbers(params):
         Frontier(*params)
 
 
+@pytest.mark.parametrize("x", ["2", "abc", True, None, np.True_, [1, "2"],
+                               [1.0, None], np.array([True, False]), np.array(["1"])])
+def test_frontier_refuses_an_argument_that_is_not_a_number(x):
+    # "2" and True were read as 2.0 and 1.0, None gave nan, and "abc" ended
+    # in a raw ValueError.
+    fr = Frontier(1, 3, 0.5)
+    for call in (fr.value, fr, fr.derivative):
+        with pytest.raises(ConditionError, match="takes numbers"):
+            call(x)
+
+
 def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 

@@ -632,6 +632,22 @@ def test_oracle_batch_schedule_at_n_480(monkeypatch):
     assert (res.cost, len(res.witness.states)) == (1695.0000000000002, 227)
 
 
+@pytest.mark.parametrize("game, n, batches, rows", [(TECH_UNEVEN, 90, 350, 5859),
+                                                    (TECH, 60, 225, 2331)])
+def test_transition_search_batch_schedule(monkeypatch, game, n, batches, rows):
+    # The k transition searches of a cost matrix price in a pinned
+    # schedule, as the escape at n = 480 does.
+    calls = []
+
+    def counting(game, rule, targets, pop, counts):
+        calls.append(len(counts))
+        return _price(game, rule, targets, pop, counts)
+
+    monkeypatch.setattr("ldl.escape._price", counting)
+    transition_cost_matrix(game, n)
+    assert (len(calls), sum(calls)) == (batches, rows)
+
+
 # The search drops every move dearer than the bound U of its targets
 
 # The six two-population escapes of the bargaining benchmark, all at n = 40.
@@ -879,6 +895,42 @@ def test_price_decodes_keys_wider_than_64_bits():
     for pop in ("alpha", "beta"):
         assert (_price(NDG_L22, CostRule.LOGIT, targets, pop, digits)
                 == _price(NDG_L22, CostRule.LOGIT, targets, pop, np.array(faced)))
+
+
+@pytest.mark.parametrize("radix, digits", [(2, 63), (2, 64), (3, 39), (3, 40),
+                                           (10, 18), (10, 19), (12, 17), (12, 18)])
+def test_digits_either_side_of_2_to_the_63(radix, digits):
+    # Keys are decoded in int64 when every key of that many digits is below
+    # 2**63 (radix**digits <= 2**63) and as Python ints past that; both
+    # give the digits of repeated divmod, as Python ints.  The widths run
+    # one digit below and above the switch, and each is read again as the
+    # first half of a key twice as long, as a two-population key is.
+    top = radix ** digits
+    keys = [0, 1, radix - 1, top // 2, top - 1] + [
+        key for key in (2 ** 63 - 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1) if key < top]
+    for width in (digits, 2 * digits):
+        got = _digits(keys, radix, width).tolist()
+        assert got == [_divmod_digits(key, radix, width) for key in keys]
+        assert all(type(c) is int for row in got for c in row)
+    assert (_digits(keys, radix, digits).dtype == object) == (top > 2 ** 63)
+
+
+@pytest.mark.parametrize("count", [62, 63, 64])
+def test_price_basin_masks_with_63_or_more_targets(count):
+    # Bits are packed in int64 for fewer than 63 targets and as Python ints
+    # from 63 on; each mask must have bit p set exactly where targets[p]'s
+    # basin holds the counts.
+    game = OnePopGame(10 * np.eye(64) + 1)
+    targets = tuple(range(64))[::-1][:count]
+    rng = np.random.default_rng(count)
+    faced = [tuple(5 * (i == j) for i in range(64)) for j in (targets[-1], 0, 63)]
+    faced += [tuple(np.bincount(rng.integers(0, k, 5), minlength=64).tolist())
+              for k in (1, 2, 64, 64, 64)]
+    masks, _ = _price(game, CostRule.LOGIT, targets, None, np.array(faced))
+    assert masks == [sum(in_basin(game, counts, t) << p for p, t in enumerate(targets))
+                     for counts in faced]
+    assert masks[0] == 1 << (count - 1)  # the top bit, at its target's convention
+    assert all(type(mask) is int for mask in masks)
 
 
 def test_oracle_witness_states_are_tuples_of_python_ints():

@@ -149,9 +149,42 @@ def test_ndg_diagonal_monotonicity():
     assert np.all(np.diff(diag_b) < 0)
 
 
+@pytest.mark.parametrize("L", [3, 4, 8, 31])
+def test_ndg_build_is_the_cell_by_cell_game(L):
+    # Cell (i, j) pays (delta i, f(delta j)) for i <= j and zero below the
+    # diagonal, bit for bit as one frontier call per cell gives it.
+    fr = Frontier(1.5, 2, 0.3)
+    delta = fr.s_bar / L
+    alpha, beta = np.zeros((L - 1, L - 1)), np.zeros((L - 1, L - 1))
+    for i in range(1, L):
+        for j in range(i, L):
+            alpha[i - 1, j - 1] = delta * i
+            beta[i - 1, j - 1] = fr(delta * j)
+    g = ndg_build(fr, L)
+    assert (g.alpha.tobytes(), g.beta.tobytes()) == (alpha.tobytes(), beta.tobytes())
+
+
 def test_ndg_needs_valid_grid():
     with pytest.raises(ConditionError):
         ndg_build(Frontier(1, 3, 0.5), 2)
+
+
+@pytest.mark.parametrize("L, match", [
+    (math.nan, "integer"), (math.inf, "integer"), (-math.inf, "integer"),
+    (None, "integer"), ("6", "integer"), ([6], "integer"), (True, "integer"),
+    (6.5, "integer"), (1_002, "1002001 cells"), (20_000, "supported 1000000"),
+    (2 ** 40, "supported 1000000"),
+])
+def test_ndg_build_refuses_an_L_that_is_not_a_capped_integer(L, match):
+    # nan, inf and None once leaked a raw ValueError, OverflowError or
+    # TypeError, and 2**40 a raw numpy ValueError; L = 20,000 would have
+    # asked for two 3.2 GB matrices.  L = 1,001 is the largest accepted.
+    with pytest.raises(ConditionError, match=match):
+        ndg_build(Frontier(1, 3, 0.5), L)
+
+
+def test_ndg_build_takes_the_largest_capped_L():
+    assert ndg_build(Frontier(1, 3, 0.5), 1_001).k == 1_000
 
 
 def test_validate_two_pop_ndg():
