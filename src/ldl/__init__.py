@@ -67,14 +67,7 @@ from .games import (
     validate_one_pop,
     validate_two_pop,
 )
-from .paths import (
-    BlockSpec,
-    cp1_delta,
-    cp2_delta,
-    cp2_direct,
-    enumerate_block_paths,
-    straighten,
-)
+from .paths import BlockSpec, enumerate_block_paths
 from .stability import (
     ArborescenceResult,
     StabilityReport,

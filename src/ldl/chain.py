@@ -208,17 +208,6 @@ def basin(game: OnePopGame, n: int, m: int,
 # Step costs
 
 
-def hat_s(game: TwoPopGame, pop: str, state: State) -> frozenset[int]:
-    """Permissible deviation targets under the intentional rule at ``state``.
-
-    A strategy is permissible when its convention payoff weakly beats the
-    convention payoff of every current best reply of ``pop``.
-    """
-    pay = _reviser(game, state, pop)[1]
-    costs = cost_vector(game, CostRule.INTENTIONAL, pay, 0, pop)
-    return frozenset(np.flatnonzero(np.isfinite(costs)).tolist())
-
-
 def step_cost(game: Game, rule: CostRule, state: State, move: Move) -> float:
     """Exponential decay rate of the move's probability under ``rule``.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -160,6 +161,11 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     whose first move in is dropped is found only just before it is
     expanded, which splits the pricing into more and smaller batches.
 
+    Where U is ``inf``, or there is no bound, the cap is the largest finite
+    float instead, so a move of weight ``inf`` (out of a strategy no agent
+    plays, or one the rule forbids) is still dropped before its probe; it
+    could never improve a distance.
+
     The bound is computed after every refusal of bad input, so those keep
     their type and message.
     """
@@ -180,6 +186,7 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     cap = math.inf  # a transition search takes no bound
     if leaving:
         cap = max(_path_bounds(game, radix - 1, start, targets, True, rule)) * (1 + NEAR_TIE)
+    cap = min(cap, sys.float_info.max)
     remaining = (1 << len(targets)) - 1  # bit p: targets[p] not yet reached
     flip = remaining if leaving else 0
     results = [None] * len(targets)
@@ -188,9 +195,12 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
         return divmod(x, place) if two_pop else (x,)
 
     def price():  # every side found since the last batch
-        columns = zip(*map(faced, found)) if two_pop else (found,)
-        for pop, known, keys in zip(pops, prices, columns):
-            batch = [f for f in dict.fromkeys(keys) if f not in known]
+        if two_pop:  # a side recurs across states and batches
+            batches = ([f for f in dict.fromkeys(keys) if f not in known]
+                       for known, keys in zip(prices, zip(*map(faced, found))))
+        else:  # each state is found once, and priced only after it is found
+            batches = (found,)
+        for pop, known, batch in zip(pops, prices, batches):
             if batch:
                 counts = _digits(batch, radix, k)
                 entries = zip(*_price(game, rule, targets, pop, counts))

@@ -18,8 +18,6 @@ from ldl import (
     Move,
     arborescence_root,
     beta_ladder_trace,
-    cp2_delta,
-    cp2_direct,
     exit_bruteforce,
     exit_limit_one_pop,
     exit_limit_two_pop,
@@ -35,7 +33,6 @@ from ldl import (
     transition_cost_limit_3,
 )
 from ldl.escape import two_pop_thresholds
-from ldl.paths import build_exchange_triple, run_cost_closed_form
 from gamegen import (
     ROUTED,
     TECH,
@@ -44,6 +41,7 @@ from gamegen import (
     random_basin_states,
     random_condition_a_games,
 )
+from lemmas import build_exchange_triple, cp2_delta, cp2_direct, run_cost_closed_form
 
 PANEL_A = Frontier(1, 3, 0.5)
 PANEL_B = Frontier(3, 1, 0.5)

@@ -21,8 +21,6 @@ from ldl import (
     basin,
     beta_ladder_trace,
     convention_state,
-    cp2_delta,
-    cp2_direct,
     exit_bruteforce,
     exit_limit_one_pop,
     exit_reduced,
@@ -43,7 +41,6 @@ from ldl.chain import (
     comp_rank,
     cost_vector,
     enumerate_states,
-    hat_s,
     num_states,
     payoff_vector,
 )
@@ -61,6 +58,7 @@ from gamegen import (
     random_condition_a_games,
     random_decimal_games,
 )
+from lemmas import cp2_delta, cp2_direct, hat_s
 
 
 def test_payoff_at_convention():

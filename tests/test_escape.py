@@ -43,7 +43,6 @@ from ldl.chain import (
 from ldl.escape import (_digits, _least_cost_search, _path_bounds, _price,
                         two_pop_thresholds)
 from ldl.games import NEAR_TIE
-from ldl.paths import run_cost_closed_form
 from gamegen import (
     DECIMAL_TIE,
     TECH,
@@ -55,6 +54,7 @@ from gamegen import (
     random_condition_a_games,
     random_decimal_games,
 )
+from lemmas import run_cost_closed_form
 
 NDG = ndg_build(Frontier(1, 3, 0.5), 6)  # delta = 0.5, demands 1..5
 NDG_L4 = ndg_build(Frontier(1, 3, 0.5), 4)

@@ -16,9 +16,6 @@ from ldl import (
     OnePopGame,
     Path,
     apply_move,
-    cp1_delta,
-    cp2_delta,
-    cp2_direct,
     enumerate_block_paths,
     exit_bruteforce,
     exit_limit_one_pop,
@@ -26,11 +23,11 @@ from ldl import (
     in_basin,
     ndg_build,
     path_cost,
-    straighten,
 )
 from ldl.chain import payoff_vector
 from ldl.escape import _path_bounds
-from ldl.paths import build_exchange_triple, run_cost_closed_form
+from ldl.games import NEAR_TIE
+from ldl.paths import _cheapest_spec, _straight_run, _totals
 from gamegen import (
     DECIMAL_TIE,
     ROUTED,
@@ -42,6 +39,8 @@ from gamegen import (
     random_condition_a_games,
     random_decimal_games,
 )
+from lemmas import (build_exchange_triple, cp1_delta, cp2_delta, cp2_direct,
+                    run_cost_closed_form, straighten)
 
 
 def chain_from(start, moves):
@@ -280,9 +279,11 @@ def test_straighten_randomized_walks():
 
 
 def straighten_random_walks(game, seed):
+    """Straighten 40 random escape walks; each population size and path."""
     k = game.k
     rng = np.random.default_rng(seed)
     done = 0
+    walks = []
     while done < 40:
         n = int(rng.integers(6, 13))
         state = (n,) + (0,) * (k - 1)
@@ -318,6 +319,20 @@ def straighten_random_walks(game, seed):
         runs = [t for i, t in enumerate(seq) if i == 0 or seq[i - 1] != t]
         assert len(runs) == len(set(runs))
         done += 1
+        walks.append((n, s))
+    return walks
+
+
+def test_no_straightened_walk_beats_the_reduced_search():
+    # The lemmas check the solver: straightening any escape walk gives a
+    # block path no cheaper than exit_reduced, and the oracle agrees with
+    # exit_reduced to the bit.
+    games = [TECH, *random_condition_a_games(3, seed=47, k=4)]
+    for seed, game in enumerate(games, start=777):
+        for n, s in straighten_random_walks(game, seed):
+            reduced = exit_reduced(game, n, 0).cost
+            assert reduced <= s.cost(game) + NEAR_TIE, (game.payoffs, n)
+            assert exit_bruteforce(game, n, 0).cost == reduced, (game.payoffs, n)
 
 
 def test_straighten_requires_escaping_input():
@@ -533,6 +548,25 @@ def test_path_bound_is_the_reduced_cost(monkeypatch, chunk):
                 except LdlError:
                     cost = math.inf
                 assert bound == cost, (g.payoffs, n, m)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_run_totals_add_weights_one_at_a_time(monkeypatch, chunk):
+    # np.cumsum adds in sequence, so every partial sum of a run, and each
+    # spec's cost carried across chunks, is == a plain left-to-right loop.
+    if chunk:
+        monkeypatch.setattr("ldl.paths._CHUNK", chunk)
+    for g in sweep_games():
+        for n in (31, 480):
+            for m in range(g.k):
+                for spec in enumerate_block_paths(g, n, m):
+                    (_,), (weights,) = _straight_run(g, n, m, spec.targets[0], (m,),
+                                                     CostRule.LOGIT)
+                    sums = [0.0]
+                    for w in weights[:n].tolist():
+                        sums.append(sums[-1] + w)
+                    assert _totals(weights[:n]).tolist() == sums + [math.inf]
+                    assert _cheapest_spec(g, n, m, [spec]) == (sums[spec.counts[0]], spec)
 
 
 # Games drawn from the seeded samplers, which pass the structural conditions.
