@@ -262,7 +262,8 @@ def _choice_probabilities(costs: np.ndarray, beta: float) -> np.ndarray:
     if not finite.any(axis=-1).all():
         raise ConditionError("no permissible choice at this state")
     low = np.where(finite, costs, np.inf).min(axis=-1, keepdims=True)
-    w = np.where(finite, np.exp(-beta * np.where(finite, costs - low, 0.0)), 0.0)
+    with np.errstate(over="ignore"):  # -inf past double range: weight 0, the limit
+        w = np.where(finite, np.exp(-beta * np.where(finite, costs - low, 0.0)), 0.0)
     return w / w.sum(axis=-1, keepdims=True)
 
 

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -307,6 +309,24 @@ def test_stability_invariant_guardrail_override(tech_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "325 states exceeds cap 100" in err
+
+
+def test_stability_invariant_huge_beta_is_one_stderr_line():
+    # numpy's "overflow encountered in multiply" warning was printed above
+    # the error line; a fresh interpreter shows what a user's shell shows
+    src = os.path.join(os.path.dirname(BENCH), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "ldl.cli", "stability",
+         os.path.join(BENCH, "data", "tech_stat.json"), "--n", "4",
+         "--beta", "1e308", "--invariant", "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr == ("error: stationary solve lost conditioning: "
+                           "transition weights underflow at this noise level\n")
 
 
 @pytest.mark.parametrize("convention", ["4", "-1", "0"])

@@ -1,6 +1,10 @@
-"""Library source: every module uses each name it imports."""
+"""Library source: every module uses each name it imports, and the
+library loads no third-party package but numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +29,27 @@ def test_module_uses_every_name_it_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} never uses {unused}"
+
+
+# Top-level packages a fresh interpreter loads for ``import ldl, ldl.cli``,
+# beyond those loaded before it (site hooks), printed one a line.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import ldl, ldl.cli
+for name in sorted({m.split(".")[0] for m in set(sys.modules) - before}):
+    print(name)
+"""
+
+
+def test_library_imports_no_third_party_package_but_numpy():
+    # scipy, networkx and hypothesis are installed for the tests but not
+    # declared in pyproject.toml, so a runtime import of one breaks installs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(done.stdout.split())
+    assert {"ldl", "numpy"} <= loaded
+    third_party = loaded - sys.stdlib_module_names - {"ldl", "numpy"}
+    assert not third_party, f"import ldl loads {sorted(third_party)}"

@@ -2,6 +2,7 @@
 trees, and stationary distributions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from ldl import (
     CostRule,
     Frontier,
     GuardrailExceeded,
+    LdlError,
     Move,
     OnePopGame,
     TwoPopGame,
+    UnsupportedRuleError,
     apply_move,
     arborescence_root,
     beta_ladder_trace,
@@ -30,8 +33,10 @@ from ldl import (
     transition_cost_matrix,
     transition_matrix,
 )
+from ldl import stability
 from ldl.chain import convention_state, path_cost
 from ldl.stability import (
+    GTH_BLOCK,
     TREE_METHODS,
     convention_mass,
     maxmin_test_matrix,
@@ -406,6 +411,24 @@ def test_beta_ladder_refuses_nan_or_low_cap_and_nan_target():
     assert beta_ladder_trace(TWO_STRATEGY, 4, 0, mass_target=2.0)[-1][0] == 64.0
 
 
+def test_beta_ladder_raises_a_refused_rule():
+    # An UnsupportedRuleError is an LdlError, and only lost conditioning
+    # ends the ladder: these two calls returned [] as if it had.
+    with pytest.raises(UnsupportedRuleError, match="unknown rule"):
+        beta_ladder_trace(TECH, 4, 0, rule="x")
+    with pytest.raises(UnsupportedRuleError, match="two-population"):
+        beta_ladder_trace(TECH, 4, 0, rule=CostRule.INTENTIONAL)
+
+
+def test_invariant_measure_refuses_a_huge_beta_without_a_warning():
+    # -beta * cost overflows to -inf, whose weight 0 is the right limit;
+    # numpy's overflow warning leaked out ahead of the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LdlError, match="lost conditioning"):
+            invariant_measure(TECH, 4, 1e308)
+
+
 def test_invariant_argmax_is_stable_convention():
     rep = maxmin_test(TECH_UNEVEN)
     states, pi = invariant_measure(TECH_UNEVEN, 10, 4.0)
@@ -420,6 +443,14 @@ def test_resolve_stability_oracle_fallback():
     assert 2 in analysis.oracle_tree.roots
     assert analysis.measure_trace is not None
     assert analysis.measure_trace[-1][1] > 0.5
+
+
+def test_resolve_stability_checks_measure_n_up_front():
+    # TECH's radii tie, so no convention is found and measure_n was never read
+    assert resolve_stability(TECH).stable is None
+    for bad in (0, -3, "abc", 2.5, True):
+        with pytest.raises(ConditionError, match="measure_n"):
+            resolve_stability(TECH, measure_n=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +506,44 @@ def test_banded_gth_matches_dense_gth(game, n, label, beta):
         x = states.index(convention_state(game, n, m))
         assert abs(got[x] - want[x]) <= 1e-12 * want[x]
         assert convention_mass(game, n, beta, m) == got[x]
+
+
+EDGE_CASES = [(TWO_STRATEGY, n, f"eliminates {n}") for n in (
+    1, GTH_BLOCK - 1, GTH_BLOCK, GTH_BLOCK + 1, 2 * GTH_BLOCK)] + [
+    (ndg_build(Frontier(1, 3, 0.5), 5), 3, "front past a block"),
+]
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("game,n,label", EDGE_CASES, ids=[c[2] for c in EDGE_CASES])
+def test_block_gth_edges_match_dense_gth(game, n, label, beta):
+    # TWO_STRATEGY has n + 1 states, all but state 0 eliminated: part of a
+    # block, one short of it, exactly one, one past it, and two blocks
+    states, P = dense_kernel(game, n, beta)
+    if isinstance(game, TwoPopGame):  # couplings reach past a block's width
+        dist = np.array([sum(n - side[-1] for side in s) for s in states])
+        order = np.argsort(dist, kind="stable")
+        i, j = np.nonzero(P[np.ix_(order, order)])
+        assert np.abs(i - j).max() > 2 * GTH_BLOCK
+    want = _dense_gth(P)
+    got_states, got = invariant_measure(game, n, beta)
+    assert got_states == states
+    assert np.array_equal(got == 0, want == 0)
+    for m in range(game.k):
+        x = states.index(convention_state(game, n, m))
+        assert abs(got[x] - want[x]) <= 1e-12 * want[x]
+
+
+@pytest.mark.parametrize("panel", [1, 500])
+def test_block_gth_schur_product_in_panels(monkeypatch, panel):
+    # A wide front gets its Schur complement a few rows per product: one row
+    # for a 1-entry panel, three for 500 entries at this front of 160 states
+    game = ndg_build(Frontier(1, 3, 0.5), 5)
+    _, whole = invariant_measure(game, 3, 1.0)
+    monkeypatch.setattr(stability, "_PANEL", panel)
+    _, got = invariant_measure(game, 3, 1.0)
+    assert np.all(whole > 0)
+    assert np.all(np.abs(got - whole) <= 1e-13 * whole)
 
 
 def test_banded_bandwidths():
