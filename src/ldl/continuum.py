@@ -32,17 +32,15 @@ def payoffs_at(game: OnePopGame, p: np.ndarray) -> np.ndarray:
     return game.payoffs @ p
 
 
-def in_closed_basin(game: OnePopGame, mbar: int, p: Sequence[float],
-                    tol: float = NEAR_TIE) -> bool:
+def in_closed_basin(game: OnePopGame, mbar: int, p: Sequence[float]) -> bool:
     pay = payoffs_at(game, np.asarray(p, dtype=float))
-    return bool(pay[mbar] >= pay.max() - tol)
+    return bool(pay[mbar] >= pay.max() - NEAR_TIE)
 
 
-def on_basin_boundary(game: OnePopGame, mbar: int, p: Sequence[float],
-                      tol: float = NEAR_TIE) -> bool:
+def on_basin_boundary(game: OnePopGame, mbar: int, p: Sequence[float]) -> bool:
     pay = payoffs_at(game, np.asarray(p, dtype=float))
-    others = [pay[l] for l in range(game.k) if l != mbar]
-    return bool(pay[mbar] >= max(others) - tol and max(others) >= pay[mbar] - tol)
+    top = max(pay[l] for l in range(game.k) if l != mbar)
+    return bool(pay[mbar] >= top - NEAR_TIE and top >= pay[mbar] - NEAR_TIE)
 
 
 def straight_cost(game: OnePopGame, mbar: int, p: Sequence[float],

@@ -47,7 +47,7 @@ from .games import (
     validate_one_pop,
     validate_two_pop,
 )
-from .paths import BlockSpec, _cheapest_spec, _path_bounds, enumerate_block_paths
+from .paths import BlockSpec, _path_bounds, _run_exit, enumerate_block_paths
 
 
 @dataclass(frozen=True)
@@ -141,14 +141,15 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     priced in one pass; one population's prices are dropped once used.  A
     price row holds only the moves i -> j != i, so no self-move is probed.
 
-    An escape (``leaving``) drops a move before its probe when ``d + w``
-    exceeds U, the largest of ``_path_bounds``'s target costs with
-    ``NEAR_TIE`` relative slack for their summation order; U is ``inf`` when
-    some target has no bounding path.  The answers cannot change:
+    An escape (``leaving``, whose one target is ``start``) drops a move
+    before its probe when ``d + w`` exceeds U, ``_path_bounds``'s cost of a
+    real escape path with ``NEAR_TIE`` relative slack for its summation
+    order; U is ``inf`` when no bounding path leaves the basin.  The
+    answers cannot change:
 
     - every state expanded before the search returns has ``d <= D* <= U``,
-      D* the largest target cost returned, since each bound is the cost of
-      a real path and the search finds none dearer than it;
+      D* the escape cost returned, since the bound is the cost of a real
+      path and the search finds none dearer than it;
     - a dropped move would only have stored a tentative distance above U,
       and any later relaxation of that state to U or less still strictly
       improves, as before;
@@ -185,7 +186,7 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     shifts = [s for row in steps[0] for s in row]
     cap = math.inf  # a transition search takes no bound
     if leaving:
-        cap = max(_path_bounds(game, radix - 1, start, targets, True, rule)) * (1 + NEAR_TIE)
+        cap = _path_bounds(game, radix - 1, start, rule) * (1 + NEAR_TIE)
     cap = min(cap, sys.float_info.max)
     remaining = (1 << len(targets)) - 1  # bit p: targets[p] not yet reached
     flip = remaining if leaving else 0
@@ -348,8 +349,8 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
     Equals the oracle value: under the structural conditions, which are
     always checked, a least-cost escape consists of repeated identical
     mistakes from the status quo to one other convention, so pricing the
-    k-1 straight runs suffices.  ``paths._cheapest_spec`` prices each spec
-    of ``enumerate_block_paths`` by the running total of its run's weights,
+    k-1 straight runs suffices.  ``paths._run_exit`` prices each spec of
+    ``enumerate_block_paths`` by the running total of its run's weights,
     the bits ``path_cost`` gives its witness; the first least cost in target
     order wins, and its witness is walked once.
     A game that fails the conditions is refused, since a path with two
@@ -369,7 +370,9 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
     specs = list(enumerate_block_paths(game, n, mbar))
     if not specs:
         raise LdlError("no block escape path exists")
-    cost, spec = _cheapest_spec(game, n, mbar, specs)
+    costs = [_run_exit(game, n, mbar, *spec.targets, CostRule.LOGIT)[1] for spec in specs]
+    cost = min(costs)
+    spec = specs[costs.index(cost)]  # the first least cost, in target order
     return EscapeResult(
         n=n,
         convention=mbar,
@@ -389,7 +392,12 @@ def exit_reduced(game: OnePopGame, n: int, mbar: int) -> EscapeResult:
 def _drop_swing(game, pop: Optional[str], m: int, j: int) -> tuple[float, float]:
     """Payoff drop of a ``pop`` agent leaving convention m for j, and the total
     swing (the drop plus j's edge at convention j), on ``pop``'s oriented
-    matrix; refuses a pair whose swing is not positive."""
+    matrix; refuses a bad index, m == j and a pair whose swing is not
+    positive."""
+    check_convention(game, m)
+    check_convention(game, j)
+    if m == j:
+        raise ConditionError(f"convention {m + 1} cannot escape to itself")
     mat = game.oriented(pop)
     drop = mat[m, m] - mat[j, m]
     swing = drop + (mat[j, j] - mat[m, j])

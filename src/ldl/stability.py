@@ -55,9 +55,9 @@ def radius_matrix(game, rule: CostRule = CostRule.LOGIT) -> np.ndarray:
     return values
 
 
-def incidence(values: np.ndarray, tol: float = NEAR_TIE) -> np.ndarray:
-    """Row-wise argmin indicator; near-ties within ``tol`` all get a 1.  The
-    cost matrix is refused as ``maxmin_test_matrix`` refuses it."""
+def incidence(values: np.ndarray) -> np.ndarray:
+    """Row-wise argmin indicator; near-ties within ``NEAR_TIE`` all get a
+    1.  The cost matrix is refused as ``maxmin_test_matrix`` refuses it."""
     values = _cost_matrix(values)
     k = values.shape[0]
     inc = np.zeros((k, k), dtype=int)
@@ -65,7 +65,7 @@ def incidence(values: np.ndarray, tol: float = NEAR_TIE) -> np.ndarray:
         row = [(values[i, j], j) for j in range(k) if j != i]
         lo = min(v for v, _ in row)
         for v, j in row:
-            if v <= lo + tol:
+            if v <= lo + NEAR_TIE:
                 inc[i, j] = 1
     return inc
 
@@ -330,12 +330,13 @@ _UNDERFLOW = ("stationary solve lost conditioning: transition weights "
               "underflow at this noise level")
 
 
-def _gth_stationary(band: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the kernel ``band[i, j - i + w] = P[i, j]``
-    by block GTH state-censoring elimination over its envelope.
+def _gth_stationary(entries: tuple, dist: np.ndarray) -> np.ndarray:
+    """Stationary distribution of the kernel given by its nonzero entries,
+    ``entries = (i, j, P[i, j])`` as three arrays, by block GTH
+    state-censoring elimination over its envelope.
 
     The states are stably sorted by ``dist``, their distance from state 0
-    (which is the only state at distance 0), and the kernel is re-banded
+    (which is the only state at distance 0), and the kernel is banded
     in that order, padded by ``GTH_BLOCK`` so that a block's front never
     reads past the band.  ``lo[k]`` is the first state coupled to k or to
     any later state; eliminating states last first, the fill of row and
@@ -354,15 +355,14 @@ def _gth_stationary(band: np.ndarray, dist: np.ndarray) -> np.ndarray:
     reads them a block at a time.  Subtraction-free, so it stays accurate
     on stiff kernels (large beta) where a generic LU solve of pi P = pi
     loses the tiny couplings.  State 0 is left last and anchors the
-    back-substitution.  Returns pi in the band's own order.
+    back-substitution.  Returns pi in the kernel's own state order.
     """
-    size, width = band.shape
+    rows, cols, vals = entries
+    size = len(dist)
     order = np.argsort(dist, kind="stable")
     rank = np.empty(size, dtype=np.intp)
     rank[order] = np.arange(size)
-    rows, diag = np.divmod(np.flatnonzero(band != 0), width)
-    r, c = rank[rows], rank[rows + diag - width // 2]
-    vals = band[rows, diag]
+    r, c = rank[rows], rank[cols]
     w = int(np.abs(c - r).max()) + GTH_BLOCK
     band = np.zeros((size, 2 * w + 1))
     band[r, c - r + w] = vals
@@ -443,9 +443,12 @@ def invariant_measure(
     underflowing.  The masses come back in ``states``' colex order.
     """
     states, band = transition_matrix(game, n, beta, rule, guardrail)
+    rows, diag = np.divmod(np.flatnonzero(band), band.shape[1])
+    entries = rows, rows + diag - band.shape[1] // 2, band[rows, diag]
+    del band  # the colex band goes before the solve builds its own
     # agents not playing the last strategy, over both sides for two populations
     last = np.array(states)[..., -1].reshape(len(states), -1)
-    return states, _gth_stationary(band, (n - last).sum(axis=1))
+    return states, _gth_stationary(entries, (n - last).sum(axis=1))
 
 
 def convention_mass(game, n: int, beta: float, m: int,

@@ -41,8 +41,8 @@ from ldl.chain import (
     payoff_vector,
 )
 from ldl.escape import (_digits, _least_cost_search, _path_bounds, _price,
-                        two_pop_thresholds)
-from ldl.games import NEAR_TIE
+                        escape_term_two_pop, two_pop_thresholds)
+from ldl.games import NEAR_TIE, tech_game
 from gamegen import (
     DECIMAL_TIE,
     TECH,
@@ -208,6 +208,24 @@ def test_limit_tech_values():
     assert res.argmin_targets == (1,)
     assert pairwise_escape_term(TECH, 0, 1) == pytest.approx(0.5 * 15**2 / 32)
     assert pairwise_escape_term(TECH, 0, 2) == pytest.approx(0.5 * 17**2 / 32)
+
+
+@pytest.mark.parametrize("term, game", [
+    (pairwise_escape_term, tech_game(16, 17, 18, 1)),
+    (two_pop_thresholds, NDG),
+    (lambda game, m, j: escape_term_two_pop(game, m, j, CostRule.LOGIT), NDG),
+], ids=["pairwise", "thresholds", "two_pop"])
+@pytest.mark.parametrize("m, j, message", [
+    (-1, 0, "convention 0 outside"), (0, -1, "convention 0 outside"),
+    (0, 7, "convention 8 outside"), (7, 0, "convention 8 outside"),
+    (True, 0, "must be an integer"), (0, 1.0, "must be an integer"),
+    (1, 1, "convention 2 cannot escape to itself"),
+])
+def test_limit_terms_refuse_bad_index_pairs(term, game, m, j, message):
+    # A negative index would read another convention's row; m == j has
+    # no swing.
+    with pytest.raises(ConditionError, match=message):
+        term(game, m, j)
 
 
 def test_limit_two_strategy_logit_and_uniform_coincide():
@@ -648,7 +666,7 @@ def test_transition_search_batch_schedule(monkeypatch, game, n, batches, rows):
     assert (len(calls), sum(calls)) == (batches, rows)
 
 
-# The search drops every move dearer than the bound U of its targets
+# An escape drops every move dearer than the bound U of its search
 
 # The six two-population escapes of the bargaining benchmark, all at n = 40.
 NDG_B = ndg_build(Frontier(3, 1, 0.5), 8)
@@ -660,8 +678,8 @@ one_pop_rules = st.sampled_from((CostRule.LOGIT, CostRule.UNIFORM,
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
-@given(data=st.data(), leaving=st.booleans())
-def test_search_cost_is_within_the_bound_of_every_target(data, leaving):
+@given(data=st.data())
+def test_search_cost_is_within_the_bound_of_every_target(data):
     games = data.draw(st.one_of(one_pop_games,
                                 st.sampled_from(([NDG_L4], [TWO_POP_2X2]))))
     assume(games)
@@ -670,15 +688,13 @@ def test_search_cost_is_within_the_bound_of_every_target(data, leaving):
     rule = data.draw(two_pop_rules if two_pop else one_pop_rules)
     n = data.draw(st.integers(1, 8 if two_pop or game.k == 4 else 24))
     for start in range(game.k):
-        targets = (start,) if leaving else tuple(set(range(game.k)) - {start})
-        bounds = _path_bounds(game, n, start, targets, leaving, rule)
+        bound = _path_bounds(game, n, start, rule)
         try:
-            found = _least_cost_search(game, n, start, targets, leaving, rule, None)
-        except LdlError as exc:  # some target has no bounding path
-            assert "no terminal state" in str(exc) and max(bounds) == math.inf
+            res, = _least_cost_search(game, n, start, (start,), True, rule, None)
+        except LdlError as exc:  # no bounding path leaves the basin
+            assert "no terminal state" in str(exc) and bound == math.inf
             continue
-        for res, bound in zip(found, bounds):
-            assert res.cost <= bound * (1 + NEAR_TIE), (start, n, rule)
+        assert res.cost <= bound * (1 + NEAR_TIE), (start, n, rule)
 
 
 def search_record(monkeypatch, game, n, m):
@@ -708,13 +724,13 @@ def search_record(monkeypatch, game, n, m):
                          + [(TECH, 480, 0)])
 def test_bound_changes_no_answer(monkeypatch, game, n, m):
     pruned = search_record(monkeypatch, game, n, m)
-    monkeypatch.setattr("ldl.escape._path_bounds", lambda *args: [math.inf])
+    monkeypatch.setattr("ldl.escape._path_bounds", lambda *args: math.inf)
     assert search_record(monkeypatch, game, n, m) == pruned
 
 
 @pytest.mark.parametrize("game, m", DEMAND_ESCAPES)
 def test_two_run_bound_is_the_demand_game_escape_cost(game, m):
-    bound, = _path_bounds(game, 40, m, (m,), True, CostRule.LOGIT)
+    bound = _path_bounds(game, 40, m, CostRule.LOGIT)
     cost = exit_bruteforce(game, 40, m).cost
     assert abs(bound - cost) <= NEAR_TIE * cost
 

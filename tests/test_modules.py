@@ -1,5 +1,6 @@
-"""Library source: every module uses each name it imports, and the
-library loads no third-party package but numpy."""
+"""Library source: every module uses each name it imports, every private
+helper has a caller, and the library loads no third-party package but
+numpy."""
 
 import ast
 import os
@@ -53,3 +54,49 @@ def test_library_imports_no_third_party_package_but_numpy():
     assert {"ldl", "numpy"} <= loaded
     third_party = loaded - sys.stdlib_module_names - {"ldl", "numpy"}
     assert not third_party, f"import ldl loads {sorted(third_party)}"
+
+
+def private_definitions(tree):
+    """Each module-level ``_name`` of a module with the node defining it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def referenced_names(tree, skip=None):
+    """The names a tree reads, as a bare name, an attribute or an import,
+    outside the subtree ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_private_helper_has_a_caller():
+    # A helper that a deletion leaves without a caller would otherwise
+    # stay; a use inside its own definition (recursion) does not count.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    dead = []
+    for module, tree in trees.items():
+        for name, node in private_definitions(tree):
+            if not any(name in referenced_names(other, skip=node)
+                       for other in trees.values()):
+                dead.append(f"{module}:{name}")
+    assert not dead, f"no library code uses {dead}"

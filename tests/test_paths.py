@@ -1,5 +1,6 @@
 """path-engine: comparison identities, straightening, block enumeration."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from ldl import (
     Move,
     OnePopGame,
     Path,
+    TwoPopGame,
     apply_move,
     enumerate_block_paths,
     exit_bruteforce,
@@ -27,7 +29,7 @@ from ldl import (
 from ldl.chain import payoff_vector
 from ldl.escape import _path_bounds
 from ldl.games import NEAR_TIE
-from ldl.paths import _cheapest_spec, _straight_run, _totals
+from ldl.paths import _run_exit, _straight_run
 from gamegen import (
     DECIMAL_TIE,
     ROUTED,
@@ -532,17 +534,17 @@ def test_exit_reduced_large_population_does_not_recurse():
     assert res.cost == path_cost(TECH, CostRule.LOGIT, res.witness)
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("chunk", [None, 1, 3])
 def test_path_bound_is_the_reduced_cost(monkeypatch, chunk):
-    # The search's bound and the reduced search read one pricer of the
-    # straight runs, so they agree to the bit (inf where no run escapes):
-    # the bound prices each run whole, the reduced search in chunks.
+    # The search's bound and the reduced search read one scan of the
+    # straight runs, so they agree to the bit (inf where no run escapes)
+    # at any chunk size; a chunk of 1 puts every exit at a chunk's start.
     if chunk:
         monkeypatch.setattr("ldl.paths._CHUNK", chunk)
     for g in sweep_games():
         for n in (1, 2, 5, 12, 19, 31, 200):
             for m in range(g.k):
-                bound, = _path_bounds(g, n, m, (m,), True, CostRule.LOGIT)
+                bound = _path_bounds(g, n, m, CostRule.LOGIT)
                 try:
                     cost = exit_reduced(g, n, m).cost
                 except LdlError:
@@ -550,23 +552,71 @@ def test_path_bound_is_the_reduced_cost(monkeypatch, chunk):
                 assert bound == cost, (g.payoffs, n, m)
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("chunk", [None, 1, 3])
 def test_run_totals_add_weights_one_at_a_time(monkeypatch, chunk):
-    # np.cumsum adds in sequence, so every partial sum of a run, and each
-    # spec's cost carried across chunks, is == a plain left-to-right loop.
+    # np.cumsum adds in sequence, so a run's cost to its exit, carried
+    # across chunks, is == a plain left-to-right loop; a run that never
+    # leaves the basin has no exit and costs inf.
     if chunk:
         monkeypatch.setattr("ldl.paths._CHUNK", chunk)
     for g in sweep_games():
         for n in (31, 480):
             for m in range(g.k):
-                for spec in enumerate_block_paths(g, n, m):
-                    (_,), (weights,) = _straight_run(g, n, m, spec.targets[0], (m,),
-                                                     CostRule.LOGIT)
-                    sums = [0.0]
-                    for w in weights[:n].tolist():
-                        sums.append(sums[-1] + w)
-                    assert _totals(weights[:n]).tolist() == sums + [math.inf]
-                    assert _cheapest_spec(g, n, m, [spec]) == (sums[spec.counts[0]], spec)
+                for u in set(range(g.k)) - {m}:
+                    (flags,), (weights,) = _straight_run(g, n, m, u, CostRule.LOGIT)
+                    count = None if flags.all() else int(flags.argmin())
+                    total = 0.0
+                    for w in weights[:count].tolist():
+                        total += w
+                    assert _run_exit(g, n, m, u, CostRule.LOGIT) == \
+                        (count, math.inf if count is None else total), (g.payoffs, n, m, u)
+
+
+PRICED_GAMES = {
+    "TECH": TECH, "TECH_UNEVEN": TECH_UNEVEN, "TECH_SKEWED": TECH_SKEWED,
+    "ROUTED": ROUTED, "DECIMAL_TIE": DECIMAL_TIE,
+    **{f"k3 seed 7 #{i}": g for i, g in enumerate(random_condition_a_games(3, seed=7))},
+    "k4 seed 11": random_condition_a_games(1, seed=11, k=4)[0],
+    "no bandwagon": OnePopGame([[7, 4, -6], [6, 10, -5], [-2, 6, 4]]),
+    **{f"decimal seed 5 #{i}": g for i, g in enumerate(random_decimal_games(3, seed=5))},
+    **{f"NDG L={L}": ndg_build(Frontier(1, 3, 0.5), L) for L in (5, 6, 8)},
+}
+
+# Per game, the first 16 hex digits of the sha256 of every case's answers:
+# each escape bound under each rule (float.hex), and each reduced escape's
+# cost, block and witness, or its refusal.  Recorded when the exit, the
+# reduced cost and the bound were three separate scans of the runs.
+RECORDED_PRICES = {
+    "TECH": "e2c5f429653cc80f", "TECH_UNEVEN": "d793415c3495ae71",
+    "TECH_SKEWED": "8614a920374c973b", "ROUTED": "446ad9e1fb7d0e8a",
+    "DECIMAL_TIE": "f85c60859f445613", "k3 seed 7 #0": "807fc852b9c8bfc1",
+    "k3 seed 7 #1": "e06653c6cbfeffd0", "k3 seed 7 #2": "5bb3b094c3c87d5e",
+    "k4 seed 11": "1bb592f78b859d00", "no bandwagon": "c21820b167674210",
+    "decimal seed 5 #0": "3553587f5934e1fa", "decimal seed 5 #1": "94f29d4dc1cb9fcc",
+    "decimal seed 5 #2": "539ff3bf893cefbe", "NDG L=5": "535c92929d5c944f",
+    "NDG L=6": "6eee7e4ed6c798e9", "NDG L=8": "4d4b52122157bce0",
+}
+
+
+def test_run_prices_are_the_recorded_ones():
+    # 1,800 bounds and 280 reduced escapes, pinned to the bit.
+    digests = {}
+    for name, g in PRICED_GAMES.items():
+        two_pop = isinstance(g, TwoPopGame)
+        rules = tuple(CostRule) if two_pop else (
+            CostRule.LOGIT, CostRule.UNIFORM, CostRule.BETTER_REPLY)
+        record = []
+        for n in range(1, 101, 7) if two_pop else (1, 2, 5, 12, 31, 200, 2000):
+            for m in range(g.k):
+                record += [_path_bounds(g, n, m, rule).hex() for rule in rules]
+                if not two_pop:
+                    try:
+                        res = exit_reduced(g, n, m)
+                        record.append((res.cost.hex(), res.block, res.witness.states))
+                    except LdlError as exc:
+                        record.append(repr(exc))
+        digests[name] = hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+    assert digests == RECORDED_PRICES
 
 
 # Games drawn from the seeded samplers, which pass the structural conditions.

@@ -203,7 +203,7 @@ def test_incidence_agreement_radius_vs_oracle():
         rm = radius_matrix(g)
         cm = transition_cost_matrix(g, n)
         inc_r = incidence(rm)
-        inc_c = incidence(cm, tol=1e-9)
+        inc_c = incidence(cm)
         for i in range(g.k):
             row = sorted(rm[i, j] for j in range(g.k) if j != i)
             margin = row[1] - row[0]
