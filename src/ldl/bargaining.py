@@ -336,9 +336,9 @@ class SweepRow:
 
 def convergence_sweep(frontier: Frontier, deltas: Sequence[float],
                       rule: str = "unintentional") -> list[SweepRow]:
-    """Stable divisions over a decreasing grid list, with distance to the
-    limiting solution (Nash split for the unintentional rule, the
-    intentional split otherwise)."""
+    """Stable divisions over the grid steps ``deltas``, one row each in the
+    order given, with distance to the limiting solution (Nash split for the
+    unintentional rule, the intentional split otherwise)."""
     sol = solve_solutions(frontier)
     target = sol.s_nash if rule == "unintentional" else sol.s_intentional
     rows = []

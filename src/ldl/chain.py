@@ -369,7 +369,7 @@ def comp_rank(counts: Sequence[int] | np.ndarray) -> int | np.ndarray:
     A 2-D integer array is ranked row by row in one pass.
     """
     cols = counts.T if isinstance(counts, np.ndarray) else counts
-    r = 0
+    r = 0 * cols[0]  # one zero per row of a 2-D array
     s = 0
     for i in range(1, len(cols)):
         s = s + cols[i - 1]
@@ -381,13 +381,29 @@ def comp_rank(counts: Sequence[int] | np.ndarray) -> int | np.ndarray:
 
 
 def enumerate_states(n: int, k: int) -> Iterator[tuple]:
-    """All count vectors summing to n, in increasing colexicographic rank."""
+    """All count vectors summing to n, in increasing colexicographic rank.
+
+    Level s, the states whose last count is n - s, is built as one list,
+    and only one level is held at a time.
+    """
     if k == 1:
         yield (n,)
-        return
-    for s in range(n + 1):
-        for head in enumerate_states(s, k - 1):
-            yield head + (n - s,)
+    elif k == 2:
+        for s in range(n + 1):
+            yield (s, n - s)
+    else:
+        for s in range(n + 1):
+            yield from _level(n, s, k)
+
+
+def _level(n: int, s: int, k: int) -> list:
+    """Level s of the count vectors summing to n over k >= 3 strategies:
+    those over the first k - 1 strategies summing to s, in colex order,
+    each followed by n - s."""
+    if k == 3:
+        return [(t, s - t, n - s) for t in range(s + 1)]
+    tail = (n - s,)
+    return [head + tail for t in range(s + 1) for head in _level(s, t, k - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="convergence sweep over grid sizes")
     p.add_argument("--frontier", required=True)
-    p.add_argument("--deltas", required=True, help="comma list, decreasing")
+    p.add_argument("--deltas", required=True, help="comma list, in the order given")
     p.add_argument("--mode", choices=["unintentional", "intentional"],
                    default="unintentional")
     common(p)

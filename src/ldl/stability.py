@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -352,10 +353,13 @@ def _gth_stationary(entries: tuple, dist: np.ndarray) -> np.ndarray:
     summed by doubling as (I + N)(I + N^2)(I + N^4)... from nonnegative
     terms.  ``RK M`` (R's columns at elimination time) and the block's own
     columns and rows go back into the band, where the back-substitution
-    reads them a block at a time.  Subtraction-free, so it stays accurate
-    on stiff kernels (large beta) where a generic LU solve of pi P = pi
-    loses the tiny couplings.  State 0 is left last and anchors the
-    back-substitution.  Returns pi in the kernel's own state order.
+    reads them a block at a time: one product per block brings in R's
+    masses, then the block's own recurrence runs in Python floats, whose
+    overflow is silent and so is checked once per block.  Subtraction-free,
+    so it stays accurate on stiff kernels (large beta) where a generic LU
+    solve of pi P = pi loses the tiny couplings.  State 0 is left last and
+    anchors the back-substitution.  Returns pi in the kernel's own state
+    order.
     """
     rows, cols, vals = entries
     size = len(dist)
@@ -377,7 +381,7 @@ def _gth_stationary(entries: tuple, dist: np.ndarray) -> np.ndarray:
     )
     upper = np.triu(np.ones((GTH_BLOCK, GTH_BLOCK)), 1)
     eye = np.eye(GTH_BLOCK)
-    depart = np.empty(size)
+    depart = [0.0] * size  # pivots, as floats for the back-substitution
     tiny = np.finfo(float).tiny
     blocks = [(max(k1 - GTH_BLOCK, 1), k1) for k1 in range(size, 1, -GTH_BLOCK)]
     for k0, k1 in blocks:
@@ -389,7 +393,7 @@ def _gth_stationary(entries: tuple, dist: np.ndarray) -> np.ndarray:
             s = np.add.reduce(row)
             if s <= tiny:
                 raise LdlError(_UNDERFLOW)
-            depart[k1 - 1 - q] = s
+            depart[k1 - 1 - q] = float(s)
             row /= s
             if q + 1 < b:
                 F[q + 1:, q + 1:] += F[q + 1:, q, None] * row
@@ -407,19 +411,23 @@ def _gth_stationary(entries: tuple, dist: np.ndarray) -> np.ndarray:
             RR[i:i + panel] += C[i:i + panel] @ Rn
         A[a:k0, K] = C
         A[K, K] = F[:, :b]
+    x = np.zeros(size)
+    x[0] = 1.0
     with np.errstate(over="raise", invalid="raise"):
         try:
-            x = np.zeros(size)
-            x[0] = 1.0
             for k0, k1 in reversed(blocks):
                 a = lo[k0]
-                y = x[a:k0] @ A[a:k0, k0:k1]
-                for k in range(k0, k1):
-                    x[k] = (y[k - k0] + x[k0:k] @ A[k0:k, k]) / depart[k]
-        except FloatingPointError as exc:
+                y = (x[a:k0] @ A[a:k0, k0:k1]).tolist()
+                # The block's own recurrence, in floats: fsum raises on an
+                # overflowing sum, but a product or quotient goes to inf silently.
+                xs = []
+                for yk, col, d in zip(y, A[k0:k1, k0:k1].T.tolist(), depart[k0:k1]):
+                    xs.append((yk + math.fsum(map(operator.mul, xs, col))) / d)
+                if not all(map(math.isfinite, xs)):
+                    raise LdlError(_UNDERFLOW)
+                x[k0:k1] = xs
+        except (FloatingPointError, OverflowError) as exc:
             raise LdlError(_UNDERFLOW) from exc
-    if not np.all(np.isfinite(x)):
-        raise LdlError("stationary solve produced non-finite mass")
     return x[rank] / x.sum()
 
 
@@ -436,19 +444,25 @@ def invariant_measure(
     for N states (at most ``guardrail``, default ``KERNEL_STATE_CAP``),
     bandwidth b in that order and B = ``GTH_BLOCK``.  The arithmetic is the
     envelope's, at most N b^2, done as one small step per state inside its
-    block and a few matrix products per block: 0.42 s at 20,301 states for
-    ``tech_game(16, 17, 18, 1)`` at n = 200, and 16-18 ms for the
-    two-population demand game at L = 4, n = 6, on a 2-vCPU guest.  The law
-    is unique for finite beta; an ``LdlError`` reports transition weights
-    underflowing.  The masses come back in ``states``' colex order.
+    block, a few matrix products per block, and one float recurrence per
+    block to back-substitute.  On a 2-vCPU guest a whole call takes
+    8.5-9 ms at 861 states for ``tech_game(16, 17, 18, 1)`` at n = 40,
+    0.37-0.41 s at 20,301 states (n = 200), and 10.6-11 ms for the
+    two-population demand game at L = 4, n = 6.  The law is unique for
+    finite beta; an ``LdlError`` reports transition weights underflowing
+    or the masses overflowing.  The masses come back in ``states``' colex
+    order.
     """
     states, band = transition_matrix(game, n, beta, rule, guardrail)
     rows, diag = np.divmod(np.flatnonzero(band), band.shape[1])
     entries = rows, rows + diag - band.shape[1] // 2, band[rows, diag]
     del band  # the colex band goes before the solve builds its own
-    # agents not playing the last strategy, over both sides for two populations
-    last = np.array(states)[..., -1].reshape(len(states), -1)
-    return states, _gth_stationary(entries, (n - last).sum(axis=1))
+    # Agents not playing the last strategy, read off the colex layout: a
+    # side's level s is its C(s + k - 2, k - 2) states in a row, and two
+    # populations add their sides' levels.
+    side = np.repeat(np.arange(n + 1), [num_states(s, game.k - 1) for s in range(n + 1)])
+    dist = (side[:, None] + side).ravel() if isinstance(game, TwoPopGame) else side
+    return states, _gth_stationary(entries, dist)
 
 
 def convention_mass(game, n: int, beta: float, m: int,

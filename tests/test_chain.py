@@ -550,12 +550,14 @@ def test_log_probability_recovers_cost():
 
 
 def test_enumeration_count_and_colex_rank():
-    for n, k in ((5, 3), (4, 4), (7, 2)):
-        states = list(enumerate_states(n, k))
-        assert len(states) == num_states(n, k)
-        assert all(sum(s) == n for s in states)
-        assert [comp_rank(s) for s in states] == list(range(len(states)))
-        assert comp_rank(np.array(states)).tolist() == list(range(len(states)))
+    for n in range(9):
+        for k in range(1, 6):
+            states = list(enumerate_states(n, k))
+            assert len(states) == num_states(n, k)
+            assert all(type(s) is tuple and len(s) == k and sum(s) == n for s in states)
+            assert [comp_rank(s) for s in states] == list(range(len(states)))
+            # one rank per row, a one-column array included
+            assert comp_rank(np.array(states)).tolist() == list(range(len(states)))
 
 
 # Each entry point that takes an index, a beta or a delta, with the start of

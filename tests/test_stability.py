@@ -2,6 +2,7 @@
 trees, and stationary distributions."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -544,6 +545,56 @@ def test_block_gth_schur_product_in_panels(monkeypatch, panel):
     _, got = invariant_measure(game, 3, 1.0)
     assert np.all(whole > 0)
     assert np.all(np.abs(got - whole) <= 1e-13 * whole)
+
+
+LEVEL_CASES = [
+    (TWO_STRATEGY, (1, 5, 17)),
+    (TECH, (1, 4, 9)),
+    (random_condition_a_games(1, seed=5, k=4)[0], (1, 3, 6)),
+    (TWO_POP_2X2, (1, 4, 9)),
+    (ndg_build(Frontier(1, 3, 0.5), 4), (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("game,ns", LEVEL_CASES, ids=["k=2", "k=3", "k=4", "pair 2x2", "ndg L=4"])
+def test_solve_is_handed_each_states_distance_level(monkeypatch, game, ns):
+    # the levels are read off the colex layout, not off the state tuples
+    handed = []
+    solve = stability._gth_stationary
+    monkeypatch.setattr(stability, "_gth_stationary",
+                        lambda entries, dist: solve(entries, handed.append(dist) or dist))
+    for n in ns:
+        states, _ = invariant_measure(game, n, 1.0)
+        sides = (lambda s: s) if isinstance(game, TwoPopGame) else (lambda s: (s,))
+        assert handed.pop().tolist() == [sum(n - side[-1] for side in sides(s))
+                                         for s in states]
+
+
+def _birth_death_entries(size, up, down):
+    """The (i, j, P[i, j]) entries of a walk on 0..size-1 that steps up with
+    probability ``up`` and down with ``down``, holding the rest."""
+    i = np.arange(size)
+    rows = np.concatenate((i[:-1], i[1:], i))
+    cols = np.concatenate((i[1:], i[:-1], i))
+    hold = 1.0 - np.where(i < size - 1, up, 0.0) - np.where(i > 0, down, 0.0)
+    vals = np.concatenate((np.full(size - 1, up), np.full(size - 1, down), hold))
+    return (rows, cols, vals), i
+
+
+@pytest.mark.parametrize("size,down", [(3, 1e-300), (3 * GTH_BLOCK, 1e-20)],
+                         ids=["in the last block", "past the first block"])
+def test_block_back_substitution_overflow_is_lost_conditioning(size, down):
+    # Every pivot (``down``) is above the smallest normal, so the elimination
+    # passes, but the masses grow by up / down a state and overflow in the
+    # back-substitution: at state 2 of 3, or at state 16 of 48, the first of
+    # the second block it solves.
+    entries, dist = _birth_death_entries(size, 0.5, down)
+    with pytest.raises(LdlError, match=re.escape(stability._UNDERFLOW)):
+        stability._gth_stationary(entries, dist)
+    # a milder walk of the same shape solves
+    entries, dist = _birth_death_entries(size, 0.25, 0.5)
+    pi = stability._gth_stationary(entries, dist)
+    assert np.allclose(pi, 0.5 ** np.arange(size) / (2 - 0.5 ** (size - 1)), rtol=1e-12)
 
 
 def test_banded_bandwidths():
