@@ -181,8 +181,19 @@ def in_basin(game: Game, state: State, m: int) -> bool:
     (``A @ counts``; for two populations ``alpha @ beta_counts`` and
     ``beta.T @ alpha_counts``, bit-equal to ``alpha_counts @ beta``), with
     the weak ``>=``.  Ties are exact for integer payoffs; with short-decimal
-    payoffs a tie is decided by the float rounding of these sums.
+    payoffs a tie is decided by the float rounding of these sums.  A bad
+    ``m``, or a state not of the game's shape, is refused (``ConditionError``).
     """
+    check_convention(game, m)
+    sides = state if isinstance(game, TwoPopGame) else (state,)
+    if len(sides) != len(game.populations) or any(np.shape(s) != (game.k,)
+                                                  for s in sides):
+        raise ConditionError(f"state {state!r} does not fit a game of {game.k} strategies")
+    return _in_basin(game, state, m)
+
+
+def _in_basin(game: Game, state: State, m: int) -> bool:
+    """``in_basin`` for a convention and a state already checked."""
     for pop in game.populations:
         pay = game.oriented(pop) @ np.asarray(_sides(state, pop)[1], dtype=float)
         if not pay[m] >= pay.max():
@@ -193,6 +204,7 @@ def in_basin(game: Game, state: State, m: int) -> bool:
 def basin(game: OnePopGame, n: int, m: int,
           guardrail: int = ONE_POP_SEARCH_CAP) -> frozenset:
     """All states of the size-n simplex where ``m`` is a weak best reply."""
+    check_convention(game, m)  # once, not once per state
     n = check_population(n)
     guardrail = check_guardrail(guardrail)
     total = num_states(n, game.k)
@@ -201,7 +213,7 @@ def basin(game: OnePopGame, n: int, m: int,
             f"{total} states exceeds the cap of {guardrail}; "
             "raise the guardrail explicitly to proceed"
         )
-    return frozenset(s for s in enumerate_states(n, game.k) if in_basin(game, s, m))
+    return frozenset(s for s in enumerate_states(n, game.k) if _in_basin(game, s, m))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +341,14 @@ class Path:
                 raise AdjacencyError(f"move {mv.src} -> {mv.dst} changes no state")
             state = apply_move(state, mv)
             states.append(state)
+        return cls._trusted(tuple(states), moves)
+
+    @classmethod
+    def _trusted(cls, states: tuple, moves: tuple) -> Path:
+        """The path of tuple ``states`` and the ``moves`` between them, taken
+        as they are: the caller guarantees that each move links its states."""
         path = object.__new__(cls)
-        object.__setattr__(path, "states", tuple(states))
+        object.__setattr__(path, "states", states)
         object.__setattr__(path, "moves", moves)
         return path
 

@@ -131,15 +131,12 @@ def _guardrail() -> Optional[int]:
 
 
 def _parse_list(text: str, kind: type, noun: str, option: str) -> list:
-    """A non-empty comma list of ``kind`` values for ``option``."""
+    """A comma list of ``kind`` values for ``option``, none of them empty."""
     try:
-        vals = [kind(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        vals = []
-    if not vals:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:  # an empty or blank item too
         raise ConditionError(f"{option} expects a comma list of {noun}, "
-                             f"got {text!r}")
-    return vals
+                             f"got {text!r}") from None
 
 
 def _parse_floats(text: str, option: str) -> list[float]:

@@ -177,6 +177,31 @@ def test_basin_contains_convention_and_probe():
     assert in_basin(TECH, (8, 1, 1), 0)
 
 
+@pytest.mark.parametrize("game, state, m", [
+    # -1 once wrapped to strategy 2 and gave False; 5 ended in an
+    # IndexError and True in a numpy ValueError
+    (TECH, (3, 0, 0), -1), (TECH, (3, 0, 0), 5), (TECH, (3, 0, 0), True),
+    (TECH, (3, 0, 0), 1.0),
+    # a state of the wrong shape ended in a numpy matmul ValueError
+    (TECH, (1, 2), 0), (TECH, (1, 1, 1, 0), 0), (TECH, ((3, 0, 0), (3, 0, 0)), 0),
+    (TWO_STRATEGY, ((1, 1), (2, 0)), 0),
+    (TWO_POP_2X2, (1, 1), 0), (TWO_POP_2X2, ((1, 1), (2, 0, 0)), 0),
+    (TWO_POP_2X2, ((1, 1), (2, 0), (0, 2)), 0), (TWO_POP_2X2, ((2, 0), (2, 0)), 2),
+])
+def test_in_basin_refuses_a_bad_convention_or_state(game, state, m):
+    with pytest.raises(ConditionError):
+        in_basin(game, state, m)
+
+
+def test_in_basin_takes_two_population_states_and_basin_checks_its_convention():
+    assert in_basin(TWO_POP_2X2, ((2, 0), (2, 0)), 0)
+    assert not in_basin(TWO_POP_2X2, ((0, 2), (0, 2)), 0)
+    assert in_basin(TECH, [3, 0, 0], 0) and in_basin(TECH, np.array([3, 0, 0]), 0)
+    for m in (-1, 3, True):
+        with pytest.raises(ConditionError, match="convention"):
+            basin(TECH, 4, m)
+
+
 def test_path_cost_edge_walk():
     states = [(6 - t, t) for t in range(6)]
     assert path_cost(TWO_STRATEGY, CostRule.LOGIT, states) == pytest.approx(5.0)

@@ -208,6 +208,25 @@ def test_malformed_numbers_are_refused(tech_path, capsys, monkeypatch, argv, env
     assert out == ""
 
 
+@pytest.mark.parametrize("option, argv", [
+    # each list was read without its empty item, and the command exited 0
+    ("--frontier", ["bargain", "--frontier", "1,,3,0.5", "--delta", "0.01",
+                    "--mode", "unintentional"]),
+    ("--n", ["exit", "GAME", "--convention", "1", "--oracle", "--n", "5,,6"]),
+    ("--beta", ["stability", "GAME", "--invariant", "--n", "5", "--beta", "1,,2",
+                "--convention", "1"]),
+    ("--deltas", ["sweep", "--frontier", "1,3,0.5", "--deltas", "0.1,,0.01"]),
+    ("--n", ["exit", "GAME", "--convention", "1", "--reduced", "--n", "5, ,6"]),
+    ("--deltas", ["sweep", "--frontier", "1,3,0.5", "--deltas", "0.1,0.01,"]),
+])
+def test_comma_lists_refuse_an_empty_item(tech_path, capsys, option, argv):
+    argv = [tech_path if a == "GAME" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} expects a comma list of")
+    assert err.count("\n") == 1
+
+
 def test_exit_reduced_rejects_incompatible_rules(tech_path, capsys):
     code, _, err = run(
         capsys, "exit", tech_path, "--convention", "1", "--reduced",

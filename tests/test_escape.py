@@ -18,6 +18,7 @@ from ldl import (
     LdlError,
     Move,
     OnePopGame,
+    Path,
     TwoPopGame,
     UnsupportedRuleError,
     apply_move,
@@ -486,6 +487,13 @@ def reference_least_cost_search(game, n, start, target, leaving, rule,
     raise LdlError("no terminal state is reachable")
 
 
+def assert_witness_moves_are_derived(*results):
+    """The moves the search reads off its key shifts are those
+    ``move_between`` derives from the witness states."""
+    for res in results:
+        assert res.witness.moves == Path(res.witness.states).moves
+
+
 def least_cost_search(game, n, start, target, leaving, rule, guardrail):
     """The library's search for one target, called as the reference is."""
     return _least_cost_search(game, n, start, (target,), leaving, rule,
@@ -506,6 +514,7 @@ def assert_search_is_reference(game, n, leaving, rule):
                 continue
             res = least_cost_search(*args)
             assert (res.cost, res.witness.states) == want, args[1:]
+            assert_witness_moves_are_derived(res)
 
 
 one_pop_games = st.one_of(
@@ -774,6 +783,7 @@ def assert_transition_costs_are_reference(game, n, rule, guardrail):
             continue
         found = _least_cost_search(game, n, start, others, False, rule, guardrail)
         assert [(r.cost, r.witness.states) for r in found] == expect
+        assert_witness_moves_are_derived(*found)
         want[start, others] = [cost / n for cost, _ in expect]
     if refusal is not None:
         with pytest.raises(type(refusal), match=re.escape(str(refusal))):
@@ -807,6 +817,27 @@ def test_one_search_per_source_is_the_per_pair_search_one_pop(make, seed, k, n,
 def test_one_search_per_source_is_the_per_pair_search_two_pop(game, n, rule,
                                                               guardrail):
     assert_transition_costs_are_reference(game, n, rule, guardrail)
+
+
+@pytest.mark.parametrize("rule", list(CostRule))
+@pytest.mark.parametrize("game", [NDG_L4, TWO_POP_2X2], ids=["NDG_L4", "TWO_POP_2X2"])
+def test_witness_moves_are_the_moves_between_its_states_two_pop(game, rule):
+    # A move is read off the key change of its step, where alpha's digits
+    # sit below beta's; a table with the halves swapped would tag moves
+    # with the wrong population.
+    pops = Counter()
+    for n in (1, 4, 7):
+        for start in range(game.k):
+            others = [j for j in range(game.k) if j != start]
+            for targets, leaving in (((start,), True), (others, False)):
+                try:
+                    found = _least_cost_search(game, n, start, targets, leaving, rule,
+                                               None)
+                except LdlError:  # no terminal state under this rule
+                    continue
+                assert_witness_moves_are_derived(*found)
+                pops.update(mv.pop for res in found for mv in res.witness.moves)
+    assert set(pops) == {"alpha", "beta"}
 
 
 def test_guardrail_refuses_a_source_when_one_pair_would():
@@ -870,6 +901,7 @@ def test_search_keys_wider_than_64_bits_two_pop(m, cost, states):
     res = least_cost_search(*args)
     assert (res.cost, res.witness.states) == reference_least_cost_search(*args)
     assert res.cost == cost and len(res.witness.states) == states
+    assert_witness_moves_are_derived(res)
 
 
 @pytest.mark.parametrize("n", [7, np.int64(7)])
@@ -879,6 +911,7 @@ def test_search_keys_wider_than_64_bits_one_pop(n):
     res = exit_bruteforce(game, n, 0, validate=False)
     want = reference_least_cost_search(game, 7, 0, 0, True, CostRule.LOGIT, None)
     assert (res.cost, res.witness.states) == want
+    assert_witness_moves_are_derived(res)
     assert all(type(c) is int for state in res.witness.states for c in state)
 
 
