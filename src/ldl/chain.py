@@ -203,7 +203,10 @@ def _in_basin(game: Game, state: State, m: int) -> bool:
 
 def basin(game: OnePopGame, n: int, m: int,
           guardrail: int = ONE_POP_SEARCH_CAP) -> frozenset:
-    """All states of the size-n simplex where ``m`` is a weak best reply."""
+    """All states of the size-n simplex where ``m`` is a weak best reply;
+    a two-population game, whose states are pairs, is refused."""
+    if isinstance(game, TwoPopGame):
+        raise ConditionError("basin enumerates one-population states only")
     check_convention(game, m)  # once, not once per state
     n = check_population(n)
     guardrail = check_guardrail(guardrail)

@@ -78,17 +78,33 @@ class EscapeResult:
 # The least-cost search behind the oracle and the exact transition costs
 
 
-def _price(game, rule: CostRule, targets, pop: Optional[str], counts) -> tuple:
+def _price(game, rule: CostRule, targets, pop: Optional[str], counts,
+           *bound: float) -> tuple:
     """Basin masks (bit p: ``targets[p]`` is a best reply; a bool for one
     target) and move weights, as plain lists, of ``pop``'s revisers facing
     each row of the integer array ``counts``, all rows summing to one n, in
-    one vectorized pass.  The weights are those of the moves i -> j != i in
-    canonical order: for one population (the faced counts are its own) a
-    flat row, ``inf`` where no agent plays i; for two a row of k - 1 per
-    source i.  They have ``cost_vector``'s bits on the payoffs ``prod / n``:
-    the stacked matmul promotes integer counts exactly, and the logit row
-    max is ``prod``'s over n, as division by n > 0 is monotone.  A 44-row
-    batch of TECH at n = 480 takes about 24 us, and its decode 5 us."""
+    one vectorized pass; given ``bound``, ``_exit_bound``'s pair for a
+    one-population logit escape, also each row's lower bound h on the cost
+    still to pay to leave the basin of ``targets[0]``.  The weights are
+    those of the moves i -> j != i in canonical order: for one population
+    (the faced counts are its own) a flat row, ``inf`` where no agent plays
+    i; for two a row of k - 1 per source i.  They have ``cost_vector``'s
+    bits on the payoffs ``prod / n``: the stacked matmul promotes integer
+    counts exactly, and the logit row max is ``prod``'s over n, as division
+    by n > 0 is monotone.  A 44-row batch of TECH at n = 480 takes about
+    24 us, and its decode 5 us.
+
+    h reads m's lead G, the least logit weight ``gap_j`` of a move into
+    j != m: inside the basin every costly move (one not into m) costs at
+    least G, bit for bit, and outside it G is 0.  No move closes the lead
+    by more than D, and a free move (into m) does not close it, so leaving
+    takes at least T = floor(G / D) + 1 costly moves, the t-th costing at
+    least G - t D.  h is their sum, T G - D T (T - 1) / 2, taken at G less
+    tau and less a ``NEAR_TIE`` share of it: the bound is exact along a
+    straight run whose every move closes the lead by D, and the weights the
+    search adds round, by a few ulps of the largest payoff per move, which
+    tau covers.  A T off by one through rounding only adds a negative term
+    or drops a nonnegative one, so h stays a lower bound."""
     k = game.k
     if counts.dtype == object:  # the digits of wide keys, each at most n
         counts = counts.astype(np.int64)
@@ -102,7 +118,8 @@ def _price(game, rule: CostRule, targets, pop: Optional[str], counts) -> tuple:
     pay = prod / n
     src, dst = _moves(k)
     if rule is CostRule.LOGIT:
-        moves = top / n - pay.take(dst, axis=1)
+        gap = top / n - pay
+        moves = gap.take(dst, axis=1)
     elif rule is CostRule.BETTER_REPLY:
         moves = np.stack([cost_vector(game, rule, pay, i, pop) for i in range(k)],
                          axis=1)[:, src, dst]
@@ -111,7 +128,30 @@ def _price(game, rule: CostRule, targets, pop: Optional[str], counts) -> tuple:
     if pop is not None:
         return masks, moves.reshape(-1, k, k - 1).tolist()
     moves[counts[:, src] == 0] = np.inf  # no agent plays the source
-    return masks, moves.tolist()
+    if not bound:
+        return masks, moves.tolist()
+    drop, tau = bound
+    gap[:, targets[0]] = np.inf  # the lead: the least gap of a move not into m
+    lead = np.maximum(gap.min(axis=1) - tau, 0.0)
+    runs = lead // drop  # T - 1
+    h = (runs + 1) * (lead - drop / 2 * runs) * (1 - NEAR_TIE)
+    return masks, moves.tolist(), h.tolist()
+
+
+def _exit_bound(game: OnePopGame, n: int, m: int) -> tuple:
+    """``_price``'s ``bound`` for the escape from m: D, the most one move
+    can close m's lead min_{l != m} (pi_m - pi_l), and tau = ``NEAR_TIE``
+    times the largest payoff; () where a free move into m can close the
+    lead (the paper's positive feedback rules that out) or no move can.  On
+    the oriented matrix A, a move i -> j closes the lead over l by
+    (gap[l, i] - gap[l, j]) / n, gap = A[m] - A."""
+    a = game.oriented(None)
+    gap = np.delete(a[m] - a, m, axis=0)
+    fall = gap[:, :, None] - gap[:, None, :]  # fall[l, i, j]: move i -> j
+    drop = np.delete(fall, m, axis=2).max()
+    if (fall[:, :, m] > 0).any() or not drop > 0:
+        return ()
+    return float(drop) / n, NEAR_TIE * float(np.abs(a).max())
 
 
 @functools.cache
@@ -169,21 +209,46 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     off its key change, which no two moves share (beta's are multiples of
     (n + 1)^k), so no ``move_between`` runs.
 
-    An escape (``leaving``, whose one target is ``start``) drops a move
-    before its probe when ``d + w`` exceeds U, ``_path_bounds``'s cost of a
-    real escape path with ``NEAR_TIE`` relative slack for its summation
-    order; U is ``inf`` when no bounding path leaves the basin.  The
-    answers cannot change:
+    An escape (``leaving``, whose one target is ``start``) has a cap U,
+    ``_path_bounds``'s cost of a real escape path with ``NEAR_TIE``
+    relative slack for its summation order (``inf`` when no bounding path
+    leaves the basin).  It uses U twice:
+
+    - a move is dropped before its probe when ``d + w`` exceeds U;
+    - a popped state x is not expanded when ``d + h(x)`` exceeds U, h the
+      lower bound ``_price`` gives on the cost still to pay to leave the
+      basin: for a one-population logit escape whose free moves (into
+      ``start``) never close its payoff lead; h = 0 for every other search.
+
+    The answers cannot change:
 
     - every state expanded before the search returns has ``d <= D* <= U``,
-      D* the escape cost returned, since the bound is the cost of a real
-      path and the search finds none dearer than it;
+      D* the escape cost returned, since U is the cost of a real path and
+      the search finds none dearer than it;
     - a dropped move would only have stored a tentative distance above U,
       and any later relaxation of that state to U or less still strictly
       improves, as before;
-    - so the expanded states, their ``(d, counter)`` order, distances,
-      parents, witnesses and the guardrail count are unchanged.  Only the
-      pushes and the states sent to ``_price`` shrink.
+    - h is admissible (the rest of any escape through x costs at least
+      h(x)), so a pruned x lies on no escape path of cost U or less, and no
+      witness state is pruned: each has ``d + h <= D*``, up to rounding
+      that U's slack absorbs;
+    - h is consistent (h(x) <= w + h(y) on each move x -> y: a costly move
+      costs at least the lead G and closes it by at most D, so h(x) - h(y)
+      <= G(x); a free move does not close it), so a state whose parent is
+      pruned is pruned too;
+    - so the states expanded are an in-order subsequence of those the
+      search without h expands, with the same distances, parents and
+      ``(d, counter)`` order, and the cost and witness are unchanged.  Only
+      the guardrail count (the states expanded), the pushes and the states
+      sent to ``_price`` shrink.
+
+    h may equal the exact cost to the exit, so it carries a margin below
+    for rounding (``_price``'s tau and ``NEAR_TIE`` share), as U carries
+    one above.  A pruned state costs a price row but no relaxation.  It is
+    pruned before the target test, which never skips a target: no popped
+    ``d`` exceeds U, since no push does, and h is 0 outside the basin.  At
+    TECH n = 480 the escape expands 227 states and prices 437, against
+    10,797 of each with h = 0.
 
     A transition search (not ``leaving``) takes no bound: it expands nearly
     every state below its dearest target, so U drops few moves, and a state
@@ -215,9 +280,11 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     src, dst = (a.tolist() for a in _moves(k))
     move_of = {s: Move(i, j, pop) for table, pop in zip(steps, pops)
                for s, i, j in zip(sum(table, []), src, dst)}  # witness steps' moves
-    cap = math.inf  # a transition search takes no bound
+    cap, bound = math.inf, ()  # a transition search takes no bound
     if leaving:
         cap = _path_bounds(game, radix - 1, start, rule) * (1 + NEAR_TIE)
+        if rule is CostRule.LOGIT and not two_pop:
+            bound = _exit_bound(game, radix - 1, start)
     cap = min(cap, sys.float_info.max)
     remaining = (1 << len(targets)) - 1  # bit p: targets[p] not yet reached
     flip = remaining if leaving else 0
@@ -233,9 +300,11 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
         for pop, known, batch in zip(pops, prices, batches):
             if batch:
                 counts = _digits(batch, radix, k)
-                priced = _price(game, rule, targets, pop, counts)
+                priced = _price(game, rule, targets, pop, counts, *bound)
                 if two_pop:  # with the sources of the population faced
                     priced += (map(_sources, ((counts > 0) @ _bits(k)).tolist()),)
+                elif not bound:  # h = 0: nothing is pruned
+                    priced += (repeat(0.0),)
                 known.update(zip(batch, zip(*priced)))
         found.clear()
 
@@ -258,7 +327,6 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
         d, _, x = heappop(heap)
         if d > dist[x]:
             continue
-        expanded += 1
         if two_pop:
             fa, fb = divmod(x, place)
             alpha, beta = prices[0].get(fa), prices[1].get(fb)
@@ -272,7 +340,10 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
             if (entry := prices[0].pop(x, None)) is None:
                 price()
                 entry = prices[0].pop(x)
-            mask, weights = entry
+            mask, weights, h = entry
+            if d + h > cap:  # no escape through x costs U or less
+                continue
+        expanded += 1
         hit = (mask ^ flip) & remaining
         if hit:
             keys, y = [], x

@@ -172,6 +172,13 @@ def test_basin_membership_two_strategy():
     assert d == {(c, 6 - c) for c in range(2, 7)}  # boundary tie included
 
 
+def test_basin_refuses_a_two_population_game():
+    # it enumerated one-population states and ended in a numpy ValueError
+    game = TwoPopGame([[2, 0], [0, 1]], [[1, 0], [0, 2]])
+    with pytest.raises(ConditionError, match="one-population"):
+        basin(game, 3, 0)
+
+
 def test_basin_contains_convention_and_probe():
     assert in_basin(TECH, (10, 0, 0), 0)
     assert in_basin(TECH, (8, 1, 1), 0)

@@ -185,7 +185,8 @@ def test_exit_reduced_refuses_a_game_failing_validation(tmp_path, capsys):
     (["exit", "GAME", "--convention", "1", "--oracle", "--n", "abc"], None),
     (["exit", "GAME", "--convention", "1", "--oracle", "--n", "1.5"], None),
     (["exit", "GAME", "--convention", "1", "--reduced", "--n", ","], None),
-    (["stability", "GAME", "--invariant", "--n", "5", "--beta", "abc"], None),
+    (["stability", "GAME", "--invariant", "--n", "5", "--beta", "abc",
+      "--convention", "1"], None),
     (["bargain", "--frontier", "1,x,0.5", "--delta", "0.01"], None),
     (["bargain", "--frontier", "1,3,0.5", "--delta", "nan"], None),
     (["bargain", "--frontier", "1,3,0.5", "--delta", "0"], None),
@@ -206,6 +207,8 @@ def test_malformed_numbers_are_refused(tech_path, capsys, monkeypatch, argv, env
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+    if env is None and "--beta" in argv:  # refused by its parse, not later
+        assert err.startswith("error: --beta ")
 
 
 @pytest.mark.parametrize("option, argv", [

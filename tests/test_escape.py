@@ -3,6 +3,7 @@
 import heapq
 import math
 import re
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -41,8 +42,9 @@ from ldl.chain import (
     enumerate_states,
     payoff_vector,
 )
-from ldl.escape import (_digits, _least_cost_search, _path_bounds, _price,
-                        escape_term_two_pop, two_pop_thresholds)
+from ldl import escape
+from ldl.escape import (_digits, _exit_bound, _least_cost_search, _path_bounds,
+                        _price, escape_term_two_pop, two_pop_thresholds)
 from ldl.games import NEAR_TIE, tech_game
 from gamegen import (
     DECIMAL_TIE,
@@ -572,8 +574,22 @@ def assert_guardrail_counts_the_reference(game, n, start, target, rule, states):
     return lo
 
 
-def test_guardrail_counts_the_reference_settled_states():
-    assert_guardrail_counts_the_reference(TECH, 60, 0, 0, CostRule.LOGIT, 1891)
+def test_guardrail_counts_the_reference_settled_states(monkeypatch):
+    # h prunes no UNIFORM escape and no transition search, so those count
+    # every state the reference settles.
+    for start, target, rule in ((0, 0, CostRule.UNIFORM), (0, 1, CostRule.LOGIT)):
+        assert assert_guardrail_counts_the_reference(TECH, 60, start, target, rule,
+                                                     1891) > 150
+    # The LOGIT escape counts the reference's states once h is off (195);
+    # with h it expands an in-order subsequence of them: its witness's 30.
+    with monkeypatch.context() as patch:
+        patch.setattr("ldl.escape._path_bounds", lambda *args: math.inf)
+        full = search_record(patch, TECH, 60, 0)
+        assert full[3] == assert_guardrail_counts_the_reference(
+            TECH, 60, 0, 0, CostRule.LOGIT, 1891)
+    pruned = search_record(monkeypatch, TECH, 60, 0)
+    assert_pruned_search_is_the_full_one(pruned, full)
+    assert [x for _, x in pruned[2]] == list(pruned[1]) and len(full[2]) == 195
 
 
 def test_guardrail_counts_the_reference_settled_states_two_pop():
@@ -644,19 +660,32 @@ def test_price_basin_flags_compose_to_the_two_pop_basin():
 
 
 def test_oracle_batch_schedule_at_n_480(monkeypatch):
-    # The batch schedule is pinned: the escape from TECH's
-    # convention 0 at n = 480 prices 10,797 of the 115,921 states in 227
-    # batches, each state once.
+    # The batch schedule is pinned: the escape from TECH's convention 0 at
+    # n = 480 prices 437 of the 115,921 states in 227 batches, each state
+    # once (10,797 before h pruned the search).  It expands only its
+    # 227-state witness: the smallest guardrail it finishes under is 226.
     calls = []
 
-    def counting(game, rule, targets, pop, counts):
-        calls.append(len(counts))
-        return _price(game, rule, targets, pop, counts)
+    def counting(*args):
+        calls.append(len(args[4]))
+        return _price(*args)
 
     monkeypatch.setattr("ldl.escape._price", counting)
     res = exit_bruteforce(TECH, 480, 0)
-    assert (len(calls), sum(calls)) == (227, 10797)
+    assert (len(calls), sum(calls)) == (227, 437)
     assert (res.cost, len(res.witness.states)) == (1695.0000000000002, 227)
+    assert res.witness.states == exit_reduced(TECH, 480, 0).witness.states
+    assert exit_bruteforce(TECH, 480, 0, guardrail=226) == res
+    with pytest.raises(GuardrailExceeded):
+        exit_bruteforce(TECH, 480, 0, guardrail=225)
+
+
+@pytest.mark.parametrize("game", [TECH, TECH_UNEVEN])
+def test_oracle_is_the_reduced_search_at_n_2000(game):
+    # The north star's n: h keeps the oracle to a few thousand states.
+    for m in range(game.k):
+        oracle, reduced = exit_bruteforce(game, 2000, m), exit_reduced(game, 2000, m)
+        assert abs(oracle.cost - reduced.cost) <= NEAR_TIE * reduced.cost
 
 
 @pytest.mark.parametrize("game, n, batches, rows", [(TECH_UNEVEN, 90, 350, 5859),
@@ -707,20 +736,33 @@ def test_search_cost_is_within_the_bound_of_every_target(data):
 
 
 def search_record(monkeypatch, game, n, m):
-    """The escape with the states it expands, in order, and the smallest
-    guardrail it finishes under: the search stops at its last expansion
-    before the guardrail test."""
+    """The escape with the ``(d, state)`` it expands, in order, and the
+    smallest guardrail it finishes under: the search stops at its last
+    expansion before the guardrail test.  A settled state is expanded
+    unless ``d + h > U``, h its ``_price`` bound and U the search's cap
+    (read through the module, so a test may replace ``_path_bounds``); the
+    guardrail pins that the search counts just those."""
     popped = []
 
     def heappop(heap):
-        popped.append(heap[0][2])
+        popped.append(heap[0][::2])
         return heapq.heappop(heap)
 
     with monkeypatch.context() as patch:
         patch.setattr("ldl.escape.heapq", SimpleNamespace(
             heappush=heapq.heappush, heappop=heappop))
         res = exit_bruteforce(game, n, m)
-    expanded = list(dict.fromkeys(popped))  # a stale entry pops after its state
+    settled = {}
+    for d, x in popped:  # a stale entry pops after its state
+        settled.setdefault(x, d)
+    cap = min(escape._path_bounds(game, n, m, CostRule.LOGIT) * (1 + NEAR_TIE),
+              sys.float_info.max)
+    counts = _digits(list(settled), n + 1, game.k * len(game.populations))
+    h = [0.0] * len(settled)
+    if isinstance(game, OnePopGame) and _exit_bound(game, n, m):
+        h = _price(game, CostRule.LOGIT, (m,), None, counts, *_exit_bound(game, n, m))[2]
+    expanded = [(d, tuple(x)) for d, x, b in zip(settled.values(), counts.tolist(), h)
+                if not d + b > cap]  # states as digit tuples, alpha's then beta's
     least = max(len(expanded) - 1, 1)
     exit_bruteforce(game, n, m, guardrail=least)
     if least > 1:
@@ -729,12 +771,29 @@ def search_record(monkeypatch, game, n, m):
     return res.cost, res.witness.states, expanded, least
 
 
+def assert_pruned_search_is_the_full_one(pruned, full):
+    """The same cost and witness; the expanded ``(d, state)`` an in-order
+    subsequence of the full search's, and the guardrail no larger."""
+    assert pruned[:2] == full[:2]
+    rest = iter(full[2])
+    assert all(step in rest for step in pruned[2])
+    assert pruned[3] <= full[3]
+
+
 @pytest.mark.parametrize("game, n, m", [(g, 40, m) for g, m in DEMAND_ESCAPES]
                          + [(TECH, 480, 0)])
 def test_bound_changes_no_answer(monkeypatch, game, n, m):
+    # U = inf turns both prunings off.  Without h (the demand games) the
+    # searches expand the same states; with it (TECH) a subsequence.
     pruned = search_record(monkeypatch, game, n, m)
     monkeypatch.setattr("ldl.escape._path_bounds", lambda *args: math.inf)
-    assert search_record(monkeypatch, game, n, m) == pruned
+    full = search_record(monkeypatch, game, n, m)
+    assert_pruned_search_is_the_full_one(pruned, full)
+    if isinstance(game, TwoPopGame):
+        assert pruned == full
+    else:
+        assert [x for _, x in pruned[2]] == list(pruned[1])
+        assert len(full[2]) == 10797
 
 
 @pytest.mark.parametrize("game, m", DEMAND_ESCAPES)
@@ -756,6 +815,52 @@ def test_bound_prunes_the_priced_rows(monkeypatch):
     monkeypatch.setattr("ldl.escape._price", counting)
     exit_bruteforce(NDG, 40, 2)
     assert sum(rows) == 1178
+
+
+def exit_costs(game, n, m):
+    """The least cost from each state of m's basin to a state outside it,
+    by one Dijkstra run backwards from every outside state over the logit
+    moves as ``cost_vector`` prices them; ``inf`` where no path leaves."""
+    k = game.k
+    states = list(enumerate_states(n, k))
+    inside = {x for x in states if in_basin(game, x, m)}
+    into = {x: [] for x in states}  # y: (w, x) for each move x -> y, x inside
+    for x in inside:
+        row = cost_vector(game, CostRule.LOGIT, payoff_vector(game, x), 0, None)
+        for i, j in zip(*np.nonzero(~np.eye(k, dtype=bool))):
+            if x[i]:
+                into[apply_move(x, Move(int(i), int(j)))].append((float(row[j]), x))
+    cost = {x: 0.0 for x in states if x not in inside}
+    heap = [(0.0, x) for x in cost]
+    heapq.heapify(heap)
+    while heap:
+        c, y = heapq.heappop(heap)
+        if c > cost[y]:
+            continue
+        for w, x in into[y]:
+            if c + w < cost.get(x, math.inf):
+                cost[x] = c + w
+                heapq.heappush(heap, (c + w, x))
+    return {x: cost.get(x, math.inf) for x in inside}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(make=st.sampled_from((random_condition_a_games, random_decimal_games)),
+       seed=st.integers(0, 2**16), k=st.sampled_from((3, 4)), n=st.integers(1, 24))
+def test_exit_bound_is_admissible(make, seed, k, n):
+    # h, with its rounding margin, never exceeds the exact cost still to pay
+    # from any basin state: k = 3 at n <= 24, k = 4 at n <= 12.
+    games = make(1, seed=seed, k=k)
+    assume(games)
+    game, n = games[0], n if k == 3 else (n + 1) // 2
+    for m in range(k):
+        bound = _exit_bound(game, n, m)
+        if not bound:  # no bound: a free move into m can close its lead
+            continue
+        exact = exit_costs(game, n, m)
+        h = _price(game, CostRule.LOGIT, (m,), None, np.array(list(exact)), *bound)[2]
+        assert all(b <= c for b, c in zip(h, exact.values())), (m, n)
+        assert h[list(exact).index(convention_state(game, n, m))] > 0
 
 
 # One search per source against one reference search per ordered pair
