@@ -26,15 +26,6 @@ from .chain import (
     payoff_vector,
     step_cost,
     transition_matrix,
-    transition_probability,
-)
-from .continuum import (
-    ContinuumBlockPath,
-    ThreeStrategyTransitionCosts,
-    oblique_cost,
-    omega,
-    straight_cost,
-    transition_cost_limit_3,
 )
 from .errors import (
     AdjacencyError,
@@ -71,6 +62,7 @@ from .paths import BlockSpec, enumerate_block_paths
 from .stability import (
     ArborescenceResult,
     StabilityReport,
+    ThreeStrategyTransitionCosts,
     arborescence_root,
     beta_ladder_trace,
     incidence,
@@ -79,6 +71,7 @@ from .stability import (
     radius_matrix,
     resolve_stability,
     transition_cost_bruteforce,
+    transition_cost_limit_3,
     transition_cost_matrix,
 )
 

@@ -287,28 +287,6 @@ def _check_beta(beta: float) -> None:
         raise ConditionError("beta must be finite and nonnegative")
 
 
-def transition_probability(
-    game: Game, rule: CostRule, state: State, move: Move, beta: float
-) -> float:
-    """Probability that one revision step produces exactly ``move``.
-
-    A revising agent is drawn uniformly (for two populations: population
-    with probability 1/2 each, then an agent uniformly inside it), then
-    chooses among all strategies with log-weights ``-beta * cost``.  Under
-    the logit rules this is the standard logit kernel; self-transitions
-    absorb the remaining mass.
-    """
-    _check_beta(beta)
-    counts, pay = _reviser(game, state, move.pop)
-    if counts[move.src] < 1:
-        return 0.0
-    probs = _choice_probabilities(
-        cost_vector(game, rule, pay, move.src, move.pop), beta
-    )
-    share = 0.5 if isinstance(game, TwoPopGame) else 1.0
-    return share * counts[move.src] / sum(counts) * float(probs[move.dst])
-
-
 # ---------------------------------------------------------------------------
 # Paths
 

@@ -596,6 +596,8 @@ def exit_limit_two_pop(
     game: TwoPopGame, m: int, rule: CostRule = CostRule.LOGIT
 ) -> EscapeResult:
     """Closed-form limit of the two-population escape cost from convention m."""
+    if not isinstance(game, TwoPopGame):
+        raise ConditionError("exit_limit_two_pop covers two-population games only")
     check_convention(game, m)
     if rule is CostRule.INTENTIONAL and not conflict_of_interest(game, m):
         raise ConditionError(

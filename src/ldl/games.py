@@ -12,11 +12,11 @@ band is needed, and a tolerance would blur genuinely weak inequalities.
 The package's tolerances:
 
 - ``NEAR_TIE`` (1e-9): two computed costs, splits or cell counts equal up
-  to rounding; also the continuum's basin band and decomposition checks.
+  to rounding; also the closed basin band and the decomposition check of
+  ``stability.transition_cost_limit_3``.
 - ``EQ_TOL`` (1e-10): the residual of a solved indifference system here,
   and of a bisection root in ``bargaining``.
 - ``POS_TOL`` (1e-12): strict positivity of a solved support weight.
-- ``continuum.SIMPLEX_TOL`` (1e-12): a point lies on the simplex.
 - Two literal 1e-12 ties, ``stable_division``'s winners and
   ``escape_term_two_pop``'s driving population, keep their own value,
   since merging them would change answers.
@@ -159,6 +159,8 @@ def mbp_margin(game: OnePopGame, i: int, j: int, k: int) -> float:
 
     Strict positivity on all distinct triples is the bandwagon condition.
     """
+    if isinstance(game, TwoPopGame):
+        raise ConditionError("mbp_margin covers one-population games only")
     return _margin(game.payoffs, i, j, k)
 
 
@@ -172,6 +174,8 @@ def skew(game: OnePopGame, i: int, j: int, k: int) -> float:
 
     Equals ``mbp_margin(i, j, k) - mbp_margin(i, k, j)`` exactly.
     """
+    if isinstance(game, TwoPopGame):
+        raise ConditionError("skew covers one-population games only")
     a = game.payoffs
     return (a[i, j] - a[j, i]) + (a[j, k] - a[k, j]) + (a[k, i] - a[i, k])
 

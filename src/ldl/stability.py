@@ -14,7 +14,6 @@ import numpy as np
 
 from .chain import (
     CostRule,
-    check_population,
     comp_rank,
     convention_state,
     num_states,
@@ -27,7 +26,14 @@ from .escape import (
     escape_term_two_pop,
     pairwise_escape_term,
 )
-from .games import NEAR_TIE, TwoPopGame, is_number
+from .games import (
+    NEAR_TIE,
+    OnePopGame,
+    TwoPopGame,
+    is_number,
+    mixed_equilibrium,
+    skew,
+)
 
 EXHAUSTIVE_TREE_CAP = 9
 TREE_METHODS = ("auto", "exhaustive", "edmonds")
@@ -196,6 +202,122 @@ def transition_cost_matrix(
                                    guardrail=guardrail)
         out[i, others] = [res.normalized for res in found]
     return out
+
+
+@dataclass(frozen=True)
+class ThreeStrategyTransitionCosts:
+    """Limit transition costs out of convention 0 for a three-strategy game.
+
+    ``c01``/``c02`` are the normalized limit costs of reaching the basins
+    of strategies 1 and 2; routes record whether the cheaper path is the
+    direct edge or passes through the other convention's boundary mixture.
+    Strategy relabeling applied to orient the cyclic asymmetry is reported
+    so callers can map routes back.
+    """
+
+    c01: float
+    c02: float
+    route_01: str
+    route_02: str
+    skew: float
+    relabeled: bool
+    candidates: dict
+    note: str = ""
+
+    def cost(self, target: int) -> float:
+        if target == 1:
+            return self.c01
+        if target == 2:
+            return self.c02
+        raise ConditionError("target must be strategy 1 or 2")
+
+
+def _segment_cost(game: OnePopGame, p: np.ndarray, q: np.ndarray, mass: float,
+                  target: int) -> float:
+    """Limit cost per unit population of the segment p -> q out of convention
+    0 that moves ``mass`` into ``target``: half the mass times the target's
+    payoff shortfall below 0 at p + q.
+
+    Both ends must lie in 0's closed basin (0 a best reply up to
+    ``NEAR_TIE``), which is convex, so the whole segment does.  Only a
+    direct edge can fail: the via leg joins the edge 0 -> 1's end to the
+    full mixture, where all payoffs tie within ``EQ_TOL``.
+    """
+    for point in (p, q):
+        pay = game.payoffs @ point
+        if not pay[0] >= pay.max() - NEAR_TIE:
+            raise ConditionError("straight segments must stay in the closed basin")
+    pay = game.payoffs @ (p + q)
+    return 0.5 * mass * float(pay[0] - pay[target])
+
+
+def _direct_edge_cost(game: OnePopGame, to: int) -> float:
+    """Cost of the straight edge from convention 0 to the (0, to) mixture."""
+    p = mixed_equilibrium(game, (0, to))
+    if p is None:
+        raise ConditionError(f"no pairwise mixture for strategies 0, {to}")
+    e = np.zeros(game.k)
+    e[0] = 1.0
+    return _segment_cost(game, e, p, float(1.0 - p[0]), to)
+
+
+def _via_cost(game: OnePopGame, direct_near: float) -> float:
+    """Cost of the edge 0 -> 1 mixture, ``direct_near``, then the oblique
+    leg to the full mixture, which moves a of 1's mass and b of 0's into 2."""
+    p_pair = mixed_equilibrium(game, (0, 1))
+    q_full = mixed_equilibrium(game, (0, 1, 2))
+    if p_pair is None or q_full is None:
+        raise ConditionError("required mixed equilibria are absent")
+    a = float(p_pair[1] - q_full[1])
+    b = float(p_pair[0] - q_full[0])
+    if a < -NEAR_TIE or b < -NEAR_TIE:
+        raise ConditionError(
+            "the through-route decomposition has a negative component"
+        )
+    return direct_near + _segment_cost(game, p_pair, q_full,
+                                       max(a, 0.0) + max(b, 0.0), 2)
+
+
+def transition_cost_limit_3(game: OnePopGame) -> ThreeStrategyTransitionCosts:
+    """Limit costs of the transitions 0 -> 1 and 0 -> 2 for k = 3 games: the
+    limits of ``transition_cost_matrix(game, n)[0, 1:]`` as n grows.
+
+    The orientation with positive cyclic asymmetry makes 0 -> 1 a direct
+    edge transition while 0 -> 2 may shortcut through the (0, 1) boundary;
+    a negative asymmetry is handled by relabeling strategies 1 and 2, and a
+    zero asymmetry (potential game) is flagged since every route ties.
+    """
+    if isinstance(game, TwoPopGame):
+        raise ConditionError("closed-form transitions cover one-population games only")
+    if game.k != 3:
+        raise ConditionError("closed-form transitions require exactly 3 strategies")
+    s = skew(game, 0, 2, 1)  # positive when collecting 0->1 moves first is cheaper
+    note = ""
+    relabeled = False
+    work = game
+    if s < 0:
+        perm = [0, 2, 1]
+        work = OnePopGame(game.payoffs[np.ix_(perm, perm)])
+        relabeled = True
+    elif s == 0:
+        note = "zero cyclic asymmetry (potential game): route costs tie"
+
+    direct_near = _direct_edge_cost(work, 1)     # transition to strategy 1
+    direct_far = _direct_edge_cost(work, 2)
+    via = _via_cost(work, direct_near)
+    candidates = {
+        "near_direct": direct_near,
+        "far_direct": direct_far,
+        "far_via": via,
+    }
+    costs = [direct_near, min(direct_far, via)]
+    far_route = "direct" if direct_far <= via else f"via_{2 if relabeled else 1}"
+    routes = ["direct", far_route]
+    if relabeled:  # in original labels the near target is strategy 2
+        costs.reverse()
+        routes.reverse()
+    return ThreeStrategyTransitionCosts(*costs, *routes, skew=s, relabeled=relabeled,
+                                        candidates=candidates, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +651,6 @@ class StabilityAnalysis:
     radius: np.ndarray
     oracle_costs: Optional[np.ndarray] = None
     oracle_tree: Optional[ArborescenceResult] = None
-    measure_trace: Optional[list] = None
     stable: Optional[int] = None
 
 
@@ -537,14 +658,11 @@ def resolve_stability(
     game,
     rule: CostRule = CostRule.LOGIT,
     oracle_n: Optional[int] = None,
-    measure_n: Optional[int] = None,
     guardrail: Optional[int] = None,
 ) -> StabilityAnalysis:
     """The stochastically stable convention: the maxmin test on the radius
     matrix decides first, else the unique root of the least-cost rooted tree
     over the exact transition costs at ``oracle_n``, when it is given."""
-    if measure_n is not None:  # read only once a convention is found
-        measure_n = check_population(measure_n, "measure_n")
     radius = radius_matrix(game, rule)
     report = maxmin_test_matrix(radius)
     oracle_costs = oracle_tree = None
@@ -554,7 +672,4 @@ def resolve_stability(
         oracle_tree = arborescence_root(oracle_costs)
         if stable is None and len(oracle_tree.roots) == 1:
             stable = oracle_tree.roots[0]
-    trace = None
-    if measure_n is not None and stable is not None:
-        trace = beta_ladder_trace(game, measure_n, stable, rule)
-    return StabilityAnalysis(report, radius, oracle_costs, oracle_tree, trace, stable)
+    return StabilityAnalysis(report, radius, oracle_costs, oracle_tree, stable)

@@ -5,11 +5,14 @@ identical mistakes rests on two comparison principles and on straightening
 any escape path into block form.  The library's reduced search prices only
 the straight runs the theorem leaves; the functions here rebuild the
 argument path by path, so the tests can check the identities and compare
-straightened paths with the solvers' costs.
+straightened paths with the solvers' costs.  The continuum half of the
+argument, the straight and oblique segment costs on the simplex and the
+path functional omega over block paths, closes the module.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -283,3 +286,153 @@ def _is_block_sequence(seq: Sequence[int]) -> bool:
         last = t
     return True
 
+
+# ---------------------------------------------------------------------------
+# Infinite-population path costs on the continuous simplex
+
+
+SIMPLEX_TOL = 1e-12
+
+
+def as_simplex_point(p: Sequence[float]) -> np.ndarray:
+    q = np.asarray(p, dtype=float)
+    if q.ndim != 1:
+        raise ConditionError("a simplex point must be a vector")
+    if np.any(q < -SIMPLEX_TOL) or abs(q.sum() - 1.0) > SIMPLEX_TOL:
+        raise ConditionError(f"{p!r} is not a point of the simplex")
+    return q
+
+
+def payoffs_at(game: OnePopGame, p: np.ndarray) -> np.ndarray:
+    """Linear payoff extension; accepts any vector, not only simplex points."""
+    return game.payoffs @ p
+
+
+def in_closed_basin(game: OnePopGame, mbar: int, p: Sequence[float]) -> bool:
+    pay = payoffs_at(game, np.asarray(p, dtype=float))
+    return bool(pay[mbar] >= pay.max() - NEAR_TIE)
+
+
+def on_basin_boundary(game: OnePopGame, mbar: int, p: Sequence[float]) -> bool:
+    pay = payoffs_at(game, np.asarray(p, dtype=float))
+    top = max(pay[l] for l in range(game.k) if l != mbar)
+    return bool(pay[mbar] >= top - NEAR_TIE and top >= pay[mbar] - NEAR_TIE)
+
+
+def straight_cost(game: OnePopGame, mbar: int, p: Sequence[float],
+                  q: Sequence[float]) -> float:
+    """Limit cost per unit population of the straight path from p to q.
+
+    Requires q = p + alpha (e_i - e_j) for a strategy pair (i, j) and both
+    endpoints in the closed basin.  Equals half the transferred mass times
+    the payoff gap of the target strategy evaluated at p + q.
+    """
+    p = as_simplex_point(p)
+    q = as_simplex_point(q)
+    d = q - p
+    if np.all(np.abs(d) <= SIMPLEX_TOL):
+        return 0.0
+    gain = [l for l in range(game.k) if d[l] > SIMPLEX_TOL]
+    lose = [l for l in range(game.k) if d[l] < -SIMPLEX_TOL]
+    if len(gain) != 1 or len(lose) != 1:
+        raise ConditionError("endpoints are not collinear along a strategy pair")
+    i, j = gain[0], lose[0]
+    for point in (p, q):
+        if not in_closed_basin(game, mbar, point):
+            raise ConditionError("straight segments must stay in the closed basin")
+    pay = payoffs_at(game, p + q)
+    return 0.5 * float(p[j] - q[j]) * float(pay[mbar] - pay[i])
+
+
+def oblique_cost(game: OnePopGame, mbar: int, p: Sequence[float],
+                 q: Sequence[float], a: float, b: float) -> float:
+    """Limit cost of the staircase path whose displacement is
+    a (e_m' - e_j) + b (e_m' - e_mbar) with a, b >= 0.
+
+    The target strategy m' and the secondary source j are inferred from the
+    displacement and checked against the supplied decomposition.
+    """
+    p = as_simplex_point(p)
+    q = as_simplex_point(q)
+    if a < -SIMPLEX_TOL or b < -SIMPLEX_TOL:
+        raise ConditionError("decomposition weights must be nonnegative")
+    d = q - p
+    gain = [l for l in range(game.k) if d[l] > SIMPLEX_TOL]
+    if len(gain) != 1:
+        raise ConditionError("an oblique segment feeds exactly one strategy")
+    mprime = gain[0]
+    if mprime == mbar:
+        raise ConditionError("the fed strategy must differ from the convention")
+    recon = np.zeros(game.k)
+    recon[mprime] = a + b
+    recon[mbar] -= b
+    sources = [l for l in range(game.k)
+               if d[l] < -SIMPLEX_TOL and l != mbar]
+    if b == 0 and not sources:
+        sources = [mbar]
+    if len(sources) > 1:
+        raise ConditionError("more than one secondary source strategy")
+    j = sources[0] if sources else mbar
+    if j != mbar:
+        recon[j] -= a
+    else:
+        recon[mbar] -= a
+    if np.max(np.abs(recon - d)) > NEAR_TIE:
+        raise ConditionError("decomposition (a, b) does not match q - p")
+    for point in (p, q):
+        if not in_closed_basin(game, mbar, point):
+            raise ConditionError("oblique segments must stay in the closed basin")
+    pay = payoffs_at(game, p + q)
+    return 0.5 * (a + b) * float(pay[mbar] - pay[mprime])
+
+
+@dataclass(frozen=True)
+class ContinuumBlockPath:
+    """Piecewise straight path leaving the convention along given targets.
+
+    Segment ``l`` moves mass ``lengths[l]`` from the convention strategy to
+    ``targets[l]``; induced points must stay in the closed basin and the
+    terminal point is expected on its boundary.
+    """
+
+    mbar: int
+    targets: tuple[int, ...]
+    lengths: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.targets) != len(self.lengths):
+            raise ConditionError("targets and lengths must have equal length")
+        if any(t < 0 for t in self.lengths):
+            raise ConditionError("segment lengths must be nonnegative")
+        if sum(self.lengths) > 1 + SIMPLEX_TOL:
+            raise ConditionError("total transferred mass exceeds one")
+
+    def points(self, k: int) -> list[np.ndarray]:
+        p = np.zeros(k)
+        p[self.mbar] = 1.0
+        out = [p.copy()]
+        for tgt, t in zip(self.targets, self.lengths):
+            p = p.copy()
+            p[tgt] += t
+            p[self.mbar] -= t
+            out.append(p)
+        return out
+
+
+def omega(game: OnePopGame, path: ContinuumBlockPath,
+          require_boundary: bool = True) -> float:
+    """Total cost of an admissible continuum block path.
+
+    The closed basin is an intersection of half-spaces, hence convex, so a
+    segment lies in it when both its endpoints do.
+    """
+    pts = path.points(game.k)
+    for p in pts:
+        if not in_closed_basin(game, path.mbar, p):
+            raise ConditionError("path leaves the closed basin")
+    if require_boundary and not on_basin_boundary(game, path.mbar, pts[-1]):
+        raise ConditionError("terminal point is not on the basin boundary")
+    total = 0.0
+    for p, q in zip(pts, pts[1:]):
+        total += straight_cost(game, path.mbar, p, q)
+    return total

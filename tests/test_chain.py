@@ -34,10 +34,11 @@ from ldl import (
     stable_division,
     step_cost,
     transition_matrix,
-    transition_probability,
 )
 from ldl.chain import (
+    _check_beta,
     _choice_probabilities,
+    _reviser,
     comp_rank,
     cost_vector,
     enumerate_states,
@@ -337,6 +338,27 @@ def test_transition_rows_sum_to_one_intentional_kernel():
         _, P = dense_kernel(g, 3, beta, rule=CostRule.INTENTIONAL)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(P >= 0)
+
+
+def transition_probability(game, rule, state, move, beta):
+    """Probability that one revision step produces exactly ``move``.
+
+    A revising agent is drawn uniformly (for two populations: population
+    with probability 1/2 each, then an agent uniformly inside it), then
+    chooses among all strategies with log-weights ``-beta * cost``.  Under
+    the logit rules this is the standard logit kernel; self-transitions
+    absorb the remaining mass.  The per-move reference for the kernel of
+    ``transition_matrix``.
+    """
+    _check_beta(beta)
+    counts, pay = _reviser(game, state, move.pop)
+    if counts[move.src] < 1:
+        return 0.0
+    probs = _choice_probabilities(
+        cost_vector(game, rule, pay, move.src, move.pop), beta
+    )
+    share = 0.5 if isinstance(game, TwoPopGame) else 1.0
+    return share * counts[move.src] / sum(counts) * float(probs[move.dst])
 
 
 def _moves_from(game, state):

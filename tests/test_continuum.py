@@ -1,28 +1,34 @@
-"""continuum: straight/oblique segment costs, the path functional, and the
-three-strategy transition formulas."""
+"""The continuum lemmas (straight/oblique segment costs and the path
+functional, in ``lemmas``) and the three-strategy transition formulas."""
 
 import numpy as np
 import pytest
 
 from ldl import (
     ConditionError,
-    ContinuumBlockPath,
     Move,
     OnePopGame,
     apply_move,
     mixed_equilibrium,
-    oblique_cost,
-    omega,
     pairwise_escape_term,
     skew,
-    straight_cost,
     tech_game,
     transition_cost_limit_3,
 )
 from ldl.chain import path_cost, CostRule
-from ldl.continuum import in_closed_basin
+from ldl.games import NEAR_TIE
 from ldl.stability import transition_cost_bruteforce
-from gamegen import ROUTED, TECH, TECH_SKEWED, TWO_STRATEGY
+from gamegen import (
+    DECIMAL_TIE,
+    ROUTED,
+    TECH,
+    TECH_SKEWED,
+    TECH_UNEVEN,
+    TWO_STRATEGY,
+    random_condition_a_games,
+    random_decimal_games,
+)
+from lemmas import ContinuumBlockPath, in_closed_basin, oblique_cost, omega, straight_cost
 
 
 def test_straight_cost_two_strategy_edge():
@@ -214,6 +220,76 @@ def test_transition_costs_against_oracle_more_games():
             oracle = transition_cost_bruteforce(g, 60, 0, target).normalized
             assert oracle == pytest.approx(limit, rel=0.05)
             assert oracle >= limit - 1e-9  # finite n only overshoots
+
+
+def limit_3_by_segments(game):
+    """``transition_cost_limit_3``'s (c01, c02, candidates), each segment
+    priced by the lemmas' validating ``straight_cost`` / ``oblique_cost``."""
+    s = skew(game, 0, 2, 1)
+    perm = [0, 2, 1] if s < 0 else [0, 1, 2]
+    work = OnePopGame(game.payoffs[np.ix_(perm, perm)])
+    e0 = np.eye(3)[0]
+
+    def edge(to):
+        p = mixed_equilibrium(work, (0, to))
+        if p is None:
+            raise ConditionError(f"no pairwise mixture for strategies 0, {to}")
+        return straight_cost(work, 0, e0, p)
+
+    near, far = edge(1), edge(2)
+    p, q = mixed_equilibrium(work, (0, 1)), mixed_equilibrium(work, (0, 1, 2))
+    if p is None or q is None:
+        raise ConditionError("required mixed equilibria are absent")
+    a, b = float(p[1] - q[1]), float(p[0] - q[0])
+    if a < -NEAR_TIE or b < -NEAR_TIE:
+        raise ConditionError("the through-route decomposition has a negative component")
+    via = near + oblique_cost(work, 0, p, q, max(a, 0.0), max(b, 0.0))
+    c01, c02 = (min(far, via), near) if s < 0 else (near, min(far, via))
+    return c01, c02, {"near_direct": near, "far_direct": far, "far_via": via}
+
+
+def integer_games(count, seed):
+    """Arbitrary integer 3 x 3 games, then as many with a raised diagonal,
+    more of which are coordination games."""
+    rng = np.random.default_rng(seed)
+    loose = rng.integers(-5, 21, size=(count, 3, 3))
+    raised = rng.integers(-5, 11, size=(count, 3, 3))
+    raised[:, [0, 1, 2], [0, 1, 2]] = rng.integers(5, 21, size=(count, 3))
+    return [OnePopGame(a.astype(float)) for a in np.concatenate([loose, raised])]
+
+
+# e_0 lies outside 0's basin in the last named game, so its edge is refused.
+LIMIT_3_GAMES = {
+    "named": [TECH, TECH_UNEVEN, TECH_SKEWED, ROUTED, DECIMAL_TIE,
+              tech_game(16, 17, 18, 1), tech_game(16, 16, 16, -1),
+              OnePopGame([[5, 1, 1], [1, 5, 1], [1, 1, 5]]),
+              OnePopGame([[11, 11, 11], [-4, 18, 8], [17, 1, 4]])],
+    "condition": random_condition_a_games(60, seed=7),
+    "decimal": random_decimal_games(60, seed=5),
+    "integer": integer_games(240, seed=3),
+}
+
+
+@pytest.mark.parametrize("family", LIMIT_3_GAMES)
+def test_transition_limit_matches_the_segment_lemmas(family):
+    # The library inlines the two segment formulas; where the lemmas answer
+    # it gives the same bits, and where they refuse, the same message.
+    answered, refusals = 0, set()
+    for game in LIMIT_3_GAMES[family]:
+        try:
+            want = limit_3_by_segments(game)
+        except ConditionError as exc:
+            with pytest.raises(ConditionError) as got:
+                transition_cost_limit_3(game)
+            assert str(got.value) == str(exc)
+            refusals.add(str(exc))
+            continue
+        res = transition_cost_limit_3(game)
+        assert (res.c01, res.c02, res.candidates) == want
+        answered += 1
+    assert answered
+    if family in ("named", "integer"):
+        assert "straight segments must stay in the closed basin" in refusals
 
 
 # ---------------------------------------------------------------------------

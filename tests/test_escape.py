@@ -28,10 +28,13 @@ from ldl import (
     exit_limit_two_pop,
     exit_reduced,
     in_basin,
+    mbp_margin,
     mixed_equilibrium,
     ndg_build,
     pairwise_escape_term,
+    skew,
     transition_cost_bruteforce,
+    transition_cost_limit_3,
     transition_cost_matrix,
 )
 from ldl.chain import (
@@ -199,6 +202,19 @@ def test_reduced_refuses_a_two_population_game():
     # once a raw AttributeError: a TwoPopGame has no one-population payoffs
     with pytest.raises(ConditionError, match="one-population"):
         exit_reduced(ndg_build(Frontier(1, 3, 0.5), 4), 6, 0)
+
+
+@pytest.mark.parametrize("closed_form, game, args", [
+    (transition_cost_limit_3, NDG_L4, ()),
+    (skew, NDG_L4, (0, 1, 2)),
+    (mbp_margin, NDG_L4, (0, 1, 2)),
+    (exit_limit_two_pop, TECH, (0,)),
+], ids=["transition_cost_limit_3", "skew", "mbp_margin", "exit_limit_two_pop"])
+def test_closed_forms_refuse_the_wrong_kind_of_game(closed_form, game, args):
+    # once a raw AttributeError (a TwoPopGame has no one-population
+    # payoffs), or a ValueError unpacking one population as two
+    with pytest.raises(ConditionError, match="population games only"):
+        closed_form(game, *args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Library source: every module uses each name it imports, every private
 helper has a caller, and the library loads no third-party package but
-numpy."""
+numpy.  The test modules use each name they import, too."""
 
 import ast
 import os
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ldl"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ldl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -22,10 +23,12 @@ def imported_names(tree):
             yield from (a.asname or a.name for a in node.names)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
-    # No linter runs on the library, so an import that a deletion leaves
-    # behind would otherwise stay.  ``__init__`` imports to re-export.
+    # No linter runs on the library or the tests, so an import that a
+    # deletion or a move leaves behind would otherwise stay.  ``__init__``
+    # imports to re-export.
     tree = ast.parse(path.read_text(), str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)

@@ -394,6 +394,9 @@ def test_beta_ladder_refuses_bad_inputs():
             beta_ladder_trace(TWO_STRATEGY, 4, 0, beta0=beta0, mass_target=0.99)
     with pytest.raises(ConditionError, match="outside 1..2"):
         beta_ladder_trace(TWO_STRATEGY, 4, 2)
+    for bad in (0, -3, "abc", 2.5, True):
+        with pytest.raises(ConditionError, match="population size n"):
+            beta_ladder_trace(TWO_STRATEGY, bad, 0)
     with pytest.raises(GuardrailExceeded):
         beta_ladder_trace(TECH, 500, 0)
     assert beta_ladder_trace(TWO_STRATEGY, 4, 0, beta0=1e-3, mass_target=0.99)
@@ -438,20 +441,12 @@ def test_invariant_argmax_is_stable_convention():
 
 
 def test_resolve_stability_oracle_fallback():
-    analysis = resolve_stability(TECH_UNEVEN, oracle_n=30, measure_n=8)
+    analysis = resolve_stability(TECH_UNEVEN, oracle_n=30)
     assert analysis.stable == 2
     assert analysis.oracle_tree is not None
     assert 2 in analysis.oracle_tree.roots
-    assert analysis.measure_trace is not None
-    assert analysis.measure_trace[-1][1] > 0.5
-
-
-def test_resolve_stability_checks_measure_n_up_front():
-    # TECH's radii tie, so no convention is found and measure_n was never read
-    assert resolve_stability(TECH).stable is None
-    for bad in (0, -3, "abc", 2.5, True):
-        with pytest.raises(ConditionError, match="measure_n"):
-            resolve_stability(TECH, measure_n=bad)
+    trace = beta_ladder_trace(TECH_UNEVEN, 8, analysis.stable)
+    assert trace[-1][1] > 0.5
 
 
 # ---------------------------------------------------------------------------
