@@ -394,12 +394,16 @@ def test_beta_ladder_refuses_bad_inputs():
             beta_ladder_trace(TWO_STRATEGY, 4, 0, beta0=beta0, mass_target=0.99)
     with pytest.raises(ConditionError, match="outside 1..2"):
         beta_ladder_trace(TWO_STRATEGY, 4, 2)
-    for bad in (0, -3, "abc", 2.5, True):
-        with pytest.raises(ConditionError, match="population size n"):
-            beta_ladder_trace(TWO_STRATEGY, bad, 0)
     with pytest.raises(GuardrailExceeded):
         beta_ladder_trace(TECH, 500, 0)
     assert beta_ladder_trace(TWO_STRATEGY, 4, 0, beta0=1e-3, mass_target=0.99)
+
+
+def test_beta_ladder_refuses_a_bad_population_size():
+    # the values resolve_stability's dropped measure_n option refused
+    for bad in (0, -3, "abc", 2.5, True):
+        with pytest.raises(ConditionError, match="population size n"):
+            beta_ladder_trace(TWO_STRATEGY, bad, 0)
 
 
 def test_beta_ladder_refuses_nan_or_low_cap_and_nan_target():
@@ -441,6 +445,8 @@ def test_invariant_argmax_is_stable_convention():
 
 
 def test_resolve_stability_oracle_fallback():
+    # TECH's radii tie, so no convention is found
+    assert resolve_stability(TECH).stable is None
     analysis = resolve_stability(TECH_UNEVEN, oracle_n=30)
     assert analysis.stable == 2
     assert analysis.oracle_tree is not None
