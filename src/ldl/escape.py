@@ -83,28 +83,35 @@ def _price(game, rule: CostRule, targets, pop: Optional[str], counts,
     """Basin masks (bit p: ``targets[p]`` is a best reply; a bool for one
     target) and move weights, as plain lists, of ``pop``'s revisers facing
     each row of the integer array ``counts``, all rows summing to one n, in
-    one vectorized pass; given ``bound``, ``_exit_bound``'s pair for a
-    one-population logit escape, also each row's lower bound h on the cost
-    still to pay to leave the basin of ``targets[0]``.  The weights are
-    those of the moves i -> j != i in canonical order: for one population
-    (the faced counts are its own) a flat row, ``inf`` where no agent plays
-    i; for two a row of k - 1 per source i.  They have ``cost_vector``'s
-    bits on the payoffs ``prod / n``: the stacked matmul promotes integer
-    counts exactly, and the logit row max is ``prod``'s over n, as division
-    by n > 0 is monotone.  A 44-row batch of TECH at n = 480 takes about
-    24 us, and its decode 5 us.
+    one vectorized pass; given ``bound``, ``_exit_bound``'s pair for a logit
+    or intentional escape from m = ``targets[0]``, also each row's terms of
+    the lower bound h on the cost still to pay to leave m's basin: h itself
+    for one population, and for two the terms (G, T - 1, c) of the lead G
+    of ``pop``'s revisers that ``_two_pop_h`` combines with the other
+    population's.  The weights are those of the moves i -> j != i in
+    canonical order: for one population (the faced counts are its own) a
+    flat row, ``inf`` where no agent plays i; for two a row of k - 1 per
+    source i.  They have ``cost_vector``'s bits on the payoffs ``prod / n``:
+    the stacked matmul promotes integer counts exactly, and the logit row
+    max is ``prod``'s over n, as division by n > 0 is monotone.  A 44-row
+    batch of TECH at n = 480 takes about 24 us, and its decode 5 us.
 
-    h reads m's lead G, the least logit weight ``gap_j`` of a move into
-    j != m: inside the basin every costly move (one not into m) costs at
-    least G, bit for bit, and outside it G is 0.  No move closes the lead
-    by more than D, and a free move (into m) does not close it, so leaving
+    The lead G is the least logit weight ``gap_j`` of a move into j != m:
+    inside the basin every costly move (one not into m) of ``pop`` costs at
+    least G, bit for bit, and outside it G is 0.  An intentional weight is
+    the logit one or ``inf``, so the same holds.  G is taken less tau: the
+    weights the search adds round, by a few ulps of the largest payoff per
+    move, which tau covers.  For one population no move closes the lead by
+    more than D, and a free move (into m) does not close it, so leaving
     takes at least T = floor(G / D) + 1 costly moves, the t-th costing at
-    least G - t D.  h is their sum, T G - D T (T - 1) / 2, taken at G less
-    tau and less a ``NEAR_TIE`` share of it: the bound is exact along a
-    straight run whose every move closes the lead by D, and the weights the
-    search adds round, by a few ulps of the largest payoff per move, which
-    tau covers.  A T off by one through rounding only adds a negative term
-    or drops a nonnegative one, so h stays a lower bound."""
+    least G - t D.  h is their sum, T G - D T (T - 1) / 2, less a
+    ``NEAR_TIE`` share: the bound is exact along a straight run whose every
+    move closes the lead by D.  A T off by one through rounding only adds a
+    negative term or drops a nonnegative one, so h stays a lower bound.
+    For two populations only the other population's moves close G, each by
+    at most D, ``_exit_bound``'s entry for ``pop``; the terms are
+    T - 1 = floor(G / D) and c = G - D' T - max(D - D', 0) (T - 1), D' the
+    entry for the other population."""
     k = game.k
     if counts.dtype == object:  # the digits of wide keys, each at most n
         counts = counts.astype(np.int64)
@@ -126,32 +133,76 @@ def _price(game, rule: CostRule, targets, pop: Optional[str], counts,
     else:
         moves = cost_vector(game, rule, pay, 0, pop).take(dst, axis=1)
     if pop is not None:
-        return masks, moves.reshape(-1, k, k - 1).tolist()
-    moves[counts[:, src] == 0] = np.inf  # no agent plays the source
+        moves = moves.reshape(-1, k, k - 1)
+    else:
+        moves[counts[:, src] == 0] = np.inf  # no agent plays the source
     if not bound:
         return masks, moves.tolist()
-    drop, tau = bound
+    drops, tau = bound
+    if rule is not CostRule.LOGIT:  # INTENTIONAL: its finite weights
+        gap = top / n - pay
     gap[:, targets[0]] = np.inf  # the lead: the least gap of a move not into m
     lead = np.maximum(gap.min(axis=1) - tau, 0.0)
+    if pop is not None:  # the terms of ``_two_pop_h`` this lead fixes
+        own, other = drops if pop == "alpha" else drops[::-1]
+        runs = lead // own  # T - 1
+        slope = lead - other * (runs + 1) - max(own - other, 0.0) * runs
+        return masks, moves.tolist(), list(zip(lead.tolist(), runs.tolist(),
+                                               slope.tolist()))
+    drop, = drops
     runs = lead // drop  # T - 1
     h = (runs + 1) * (lead - drop / 2 * runs) * (1 - NEAR_TIE)
     return masks, moves.tolist(), h.tolist()
 
 
-def _exit_bound(game: OnePopGame, n: int, m: int) -> tuple:
-    """``_price``'s ``bound`` for the escape from m: D, the most one move
-    can close m's lead min_{l != m} (pi_m - pi_l), and tau = ``NEAR_TIE``
-    times the largest payoff; () where a free move into m can close the
-    lead (the paper's positive feedback rules that out) or no move can.  On
-    the oriented matrix A, a move i -> j closes the lead over l by
-    (gap[l, i] - gap[l, j]) / n, gap = A[m] - A."""
-    a = game.oriented(None)
-    gap = np.delete(a[m] - a, m, axis=0)
-    fall = gap[:, :, None] - gap[:, None, :]  # fall[l, i, j]: move i -> j
-    drop = np.delete(fall, m, axis=2).max()
-    if (fall[:, :, m] > 0).any() or not drop > 0:
-        return ()
-    return float(drop) / n, NEAR_TIE * float(np.abs(a).max())
+def _exit_bound(game, n: int, m: int) -> tuple:
+    """``_price``'s ``bound`` for a logit or intentional escape from m: the
+    pair (D per population, tau).  A population's D is the most one costly
+    move (one not into m) can close its lead min_{l != m} (pi_m - pi_l): a
+    move of its own for one population, of the other for two.  tau is
+    ``NEAR_TIE`` times the largest payoff.  () where a free move into m can
+    close a lead (the paper's positive feedback rules that out) or no move
+    can.  On a population's oriented matrix A, a move i -> j of the counts
+    it faces closes its lead over l by (gap[l, i] - gap[l, j]) / n,
+    gap = A[m] - A."""
+    drops = []
+    for pop in game.populations:
+        a = game.oriented(pop)
+        gap = np.delete(a[m] - a, m, axis=0)
+        fall = gap[:, :, None] - gap[:, None, :]  # fall[l, i, j]: move i -> j
+        drop = np.delete(fall, m, axis=2).max()
+        if (fall[:, :, m] > 0).any() or not drop > 0:
+            return ()
+        drops.append(float(drop) / n)
+    top = max(float(np.abs(game.oriented(pop)).max()) for pop in game.populations)
+    return tuple(drops), NEAR_TIE * top
+
+
+def _two_pop_h(alpha: tuple, beta: tuple) -> float:
+    """The lower bound h on the cost still to pay to leave m's basin from a
+    two-population state inside it, from each population's lead terms
+    (G, T - 1, c) that ``_price`` gives.
+
+    G_a is alpha's lead (less tau), D_a the most a costly beta move closes
+    it, and G_b and D_b the same with the roles swapped.  A costly alpha
+    move costs at least G_a and closes G_b by at most D_b; alpha's own
+    moves leave G_a as it is, and free moves close neither lead.  Leaving
+    through alpha's lead takes T_a = floor(G_a / D_a) + 1 costly beta
+    moves, and before the last of them at most T_b - 1 costly alpha moves,
+    say s, with A the beta moves before each summed over them,
+    0 <= A <= s (T_a - 1).  Each move at its least cost, that exit costs
+    s G_a + T_a G_b - D_b s T_a - (D_a - D_b) A.  This is linear in A and
+    in s, so its least value is at a corner: T_a G_b + min(0, (T_b - 1) c_a),
+    with c_a = G_a - D_b T_a - max(D_a - D_b, 0) (T_a - 1).  h is the
+    lesser of the two exits, less a ``NEAR_TIE`` share: the exact optimum
+    of a relaxed model, monotone in both leads, in which each costly move
+    costs its population's lead less D per move of the other population
+    made before it."""
+    lead_a, runs_a, slope_a = alpha
+    lead_b, runs_b, slope_b = beta
+    via_a = (runs_a + 1) * lead_b + (runs_b * slope_a if slope_a < 0 else 0.0)
+    via_b = (runs_b + 1) * lead_a + (runs_a * slope_b if slope_b < 0 else 0.0)
+    return (via_a if via_a < via_b else via_b) * (1 - NEAR_TIE)
 
 
 @functools.cache
@@ -216,9 +267,11 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
 
     - a move is dropped before its probe when ``d + w`` exceeds U;
     - a popped state x is not expanded when ``d + h(x)`` exceeds U, h the
-      lower bound ``_price`` gives on the cost still to pay to leave the
-      basin: for a one-population logit escape whose free moves (into
-      ``start``) never close its payoff lead; h = 0 for every other search.
+      lower bound on the cost still to pay to leave the basin, for a logit
+      or intentional escape whose free moves (into ``start``) never close a
+      payoff lead: ``_price``'s h for one population, and for two, at a
+      state inside the basin, ``_two_pop_h`` of both populations' lead
+      terms, each priced once per faced row; h = 0 for every other search.
 
     The answers cannot change:
 
@@ -232,10 +285,15 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
       h(x)), so a pruned x lies on no escape path of cost U or less, and no
       witness state is pruned: each has ``d + h <= D*``, up to rounding
       that U's slack absorbs;
-    - h is consistent (h(x) <= w + h(y) on each move x -> y: a costly move
-      costs at least the lead G and closes it by at most D, so h(x) - h(y)
-      <= G(x); a free move does not close it), so a state whose parent is
-      pruned is pruned too;
+    - h is consistent (h(x) <= w + h(y) on each move x -> y), so a state
+      whose parent is pruned is pruned too.  For one population a costly
+      move costs at least the lead G and closes it by at most D, so
+      h(x) - h(y) <= G(x), and a free move does not close it.  For two,
+      h is the exact optimum of a relaxed model in which a costly move
+      costs its population's lead and closes the other's by at most its D;
+      a real move costs at least its relaxed cost and leaves both leads at
+      least where the relaxed move leaves them, and that optimum is
+      monotone in both leads;
     - so the states expanded are an in-order subsequence of those the
       search without h expands, with the same distances, parents and
       ``(d, counter)`` order, and the cost and witness are unchanged.  Only
@@ -244,11 +302,13 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
 
     h may equal the exact cost to the exit, so it carries a margin below
     for rounding (``_price``'s tau and ``NEAR_TIE`` share), as U carries
-    one above.  A pruned state costs a price row but no relaxation.  It is
-    pruned before the target test, which never skips a target: no popped
-    ``d`` exceeds U, since no push does, and h is 0 outside the basin.  At
-    TECH n = 480 the escape expands 227 states and prices 437, against
-    10,797 of each with h = 0.
+    one above.  A pruned state costs a price lookup (a price row for one
+    population) but no relaxation.  It is pruned before the target test,
+    which never skips a target: no popped ``d`` exceeds U, since no push
+    does, and h is 0 outside the basin.  At TECH n = 480 the escape expands
+    227 states and prices 437, against 10,797 of each with h = 0.  The six
+    demand-game escapes of the bargaining benchmark (NDG L = 6 and 8,
+    n = 40) expand 3,312 states, against 16,511 with h = 0.
 
     A transition search (not ``leaving``) takes no bound: it expands nearly
     every state below its dearest target, so U drops few moves, and a state
@@ -283,7 +343,7 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
     cap, bound = math.inf, ()  # a transition search takes no bound
     if leaving:
         cap = _path_bounds(game, radix - 1, start, rule) * (1 + NEAR_TIE)
-        if rule is CostRule.LOGIT and not two_pop:
+        if rule in (CostRule.LOGIT, CostRule.INTENTIONAL):
             bound = _exit_bound(game, radix - 1, start)
     cap = min(cap, sys.float_info.max)
     remaining = (1 << len(targets)) - 1  # bit p: targets[p] not yet reached
@@ -301,14 +361,15 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
             if batch:
                 counts = _digits(batch, radix, k)
                 priced = _price(game, rule, targets, pop, counts, *bound)
+                if not bound:  # h = 0, or no lead terms: nothing is pruned
+                    priced += (repeat(0.0),)
                 if two_pop:  # with the sources of the population faced
                     priced += (map(_sources, ((counts > 0) @ _bits(k)).tolist()),)
-                elif not bound:  # h = 0: nothing is pruned
-                    priced += (repeat(0.0),)
                 known.update(zip(batch, zip(*priced)))
         found.clear()
 
-    prices = tuple({} for _ in pops)  # faced key -> (mask, weights[, sources])
+    # faced key -> (mask, weights, h or lead terms[, sources])
+    prices = tuple({} for _ in pops)
     # Each population's key changes, weight rows and sources at the
     # two-population state being expanded, filled in place.  Its own counts
     # are the ones the other faces, so its sources come with the other's
@@ -333,9 +394,11 @@ def _least_cost_search(game, n: int, start: int, targets, leaving: bool,
             if alpha is None or beta is None:
                 price()
                 alpha, beta = prices[0][fa], prices[1][fb]
-            mask_a, sides[0][1], sides[1][2] = alpha
-            mask_b, sides[1][1], sides[0][2] = beta
+            mask_a, sides[0][1], terms_a, sides[1][2] = alpha
+            mask_b, sides[1][1], terms_b, sides[0][2] = beta
             mask = mask_a & mask_b
+            if mask and bound and d + _two_pop_h(terms_a, terms_b) > cap:
+                continue  # inside the basin; h is 0 outside it
         else:
             if (entry := prices[0].pop(x, None)) is None:
                 price()
@@ -517,6 +580,8 @@ def pairwise_escape_term(game: OnePopGame, m: int, j: int,
     Logit: half the squared payoff drop over the total payoff swing; uniform:
     just the threshold fraction of deviators flipping the best response.
     """
+    if isinstance(game, TwoPopGame):
+        raise ConditionError("pairwise_escape_term covers one-population games only")
     drop, swing = _drop_swing(game, None, m, j)
     if rule is CostRule.LOGIT:
         return 0.5 * drop * drop / swing
@@ -529,6 +594,8 @@ def exit_limit_one_pop(
     game: OnePopGame, mbar: int, rule: CostRule = CostRule.LOGIT
 ) -> EscapeResult:
     """Closed-form limit of the normalized escape cost, with all argmins."""
+    if isinstance(game, TwoPopGame):
+        raise ConditionError("exit_limit_one_pop covers one-population games only")
     check_convention(game, mbar)
     if rule not in (CostRule.LOGIT, CostRule.UNIFORM):
         raise UnsupportedRuleError(

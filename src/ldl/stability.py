@@ -224,13 +224,6 @@ class ThreeStrategyTransitionCosts:
     candidates: dict
     note: str = ""
 
-    def cost(self, target: int) -> float:
-        if target == 1:
-            return self.c01
-        if target == 2:
-            return self.c02
-        raise ConditionError("target must be strategy 1 or 2")
-
 
 def _segment_cost(game: OnePopGame, p: np.ndarray, q: np.ndarray, mass: float,
                   target: int) -> float:

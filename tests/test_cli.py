@@ -323,6 +323,21 @@ def test_escape_csv_matches_golden(name, argv, capsys):
     assert out == read_golden(name)
 
 
+@pytest.mark.parametrize("name,rule", [("exit_ndg_oracle.csv", "logit"),
+                                       ("exit_ndg_oracle_intentional.csv", "intentional")])
+def test_demand_game_exit_csv_matches_its_capture(name, rule, tmp_path, capsys):
+    # The two-population oracle on the L = 6 demand game, from demand 3
+    # (1-based), printed as its search without the lower bound h printed it.
+    game = tmp_path / "ndg.json"
+    game.write_text(game_to_json(ndg_build(Frontier(1, 3, 0.5), 6)))
+    code, out, _ = run(capsys, "exit", str(game), "--convention", "3", "--oracle",
+                       "--n", "20,40", "--rule", rule, "--format", "csv")
+    assert code == 0
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8",
+              newline="") as fh:
+        assert out == fh.read()
+
+
 def test_stability_invariant_guardrail_override(tech_path, capsys, monkeypatch):
     monkeypatch.setenv("LDL_GUARDRAIL_STATES", "100")
     code, _, err = run(

@@ -1,5 +1,7 @@
 """exit-solver: oracle, reduced search, and closed-form limits."""
 
+import functools
+import hashlib
 import heapq
 import math
 import re
@@ -47,7 +49,7 @@ from ldl.chain import (
 )
 from ldl import escape
 from ldl.escape import (_digits, _exit_bound, _least_cost_search, _path_bounds,
-                        _price, escape_term_two_pop, two_pop_thresholds)
+                        _price, _two_pop_h, escape_term_two_pop, two_pop_thresholds)
 from ldl.games import NEAR_TIE, tech_game
 from gamegen import (
     DECIMAL_TIE,
@@ -209,10 +211,14 @@ def test_reduced_refuses_a_two_population_game():
     (skew, NDG_L4, (0, 1, 2)),
     (mbp_margin, NDG_L4, (0, 1, 2)),
     (exit_limit_two_pop, TECH, (0,)),
-], ids=["transition_cost_limit_3", "skew", "mbp_margin", "exit_limit_two_pop"])
+    (exit_limit_one_pop, NDG_L4, (0,)),
+    (pairwise_escape_term, NDG_L4, (0, 1)),
+], ids=["transition_cost_limit_3", "skew", "mbp_margin", "exit_limit_two_pop",
+        "exit_limit_one_pop", "pairwise_escape_term"])
 def test_closed_forms_refuse_the_wrong_kind_of_game(closed_form, game, args):
     # once a raw AttributeError (a TwoPopGame has no one-population
-    # payoffs), or a ValueError unpacking one population as two
+    # payoffs), a ValueError unpacking one population as two, or a refusal
+    # asking for a pop tag the function does not take
     with pytest.raises(ConditionError, match="population games only"):
         closed_form(game, *args)
 
@@ -751,11 +757,75 @@ def test_search_cost_is_within_the_bound_of_every_target(data):
         assert res.cost <= bound * (1 + NEAR_TIE), (start, n, rule)
 
 
-def search_record(monkeypatch, game, n, m):
+def exit_bound_at(game, n, m, rule, counts):
+    """h at each row of ``counts``, as the search computes it: ``_price``'s
+    for one population; for two (alpha's digits, then beta's) 0 outside
+    m's basin, else ``_two_pop_h`` of the lead terms ``_price`` gives each
+    population facing the other's counts; 0 everywhere with no bound."""
+    bound = _exit_bound(game, n, m)
+    if not bound:
+        return [0.0] * len(counts)
+    if isinstance(game, OnePopGame):
+        return _price(game, rule, (m,), None, counts, *bound)[2]
+    k = game.k
+    (in_a, _, lead_a), (in_b, _, lead_b) = (
+        _price(game, rule, (m,), pop, faced, *bound)
+        for pop, faced in (("alpha", counts[:, k:]), ("beta", counts[:, :k])))
+    return [_two_pop_h(ga, gb) if a and b else 0.0
+            for a, b, ga, gb in zip(in_a, in_b, lead_a, lead_b)]
+
+
+def relaxed_optimum(lead_a, lead_b, drop_a, drop_b):
+    """The least cost to leave m's basin in the relaxed model, by dynamic
+    programming over (i, j), the costly alpha and beta moves made so far:
+    an alpha move costs lead_a - drop_a j, a beta move lead_b - drop_b i,
+    and the model leaves once j reaches floor(lead_a / drop_a) + 1 or i
+    reaches floor(lead_b / drop_b) + 1."""
+    ta, tb = int(lead_a // drop_a) + 1, int(lead_b // drop_b) + 1
+
+    @functools.cache
+    def rest(i, j):
+        alpha = lead_a - drop_a * j + (0.0 if i + 1 == tb else rest(i + 1, j))
+        beta = lead_b - drop_b * i + (0.0 if j + 1 == ta else rest(i, j + 1))
+        return min(alpha, beta)
+
+    return rest(0, 0)
+
+
+def near_convention(k, n, m):
+    """Counts of k strategies summing to n: all on m but for some agents,
+    each on a drawn strategy."""
+    def place(others):
+        counts = [0] * k
+        counts[m] = n - len(others)
+        for i in others:
+            counts[i] += 1
+        return tuple(counts)
+    return st.lists(st.integers(0, k - 1), max_size=n).map(place)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), game=st.sampled_from((NDG_L4, TWO_POP_2X2, NDG_B)),
+       n=st.integers(1, 40))
+def test_two_pop_h_is_the_relaxed_optimum(data, game, n):
+    # The corners of _two_pop_h against every interleaving of the relaxed
+    # model; D_a > D_b on NDG_L4, D_a = D_b on TWO_POP_2X2, D_a < D_b on NDG_B.
+    m = data.draw(st.integers(0, game.k - 1))
+    a, b = (data.draw(near_convention(game.k, n, m)) for _ in range(2))
+    bound = _exit_bound(game, n, m)
+    ((in_a,), _, (side_a,)), ((in_b,), _, (side_b,)) = (
+        _price(game, CostRule.LOGIT, (m,), pop, np.array([faced]), *bound)
+        for pop, faced in (("alpha", b), ("beta", a)))
+    assume(in_a and in_b)
+    want = relaxed_optimum(side_a[0], side_b[0], *bound[0]) * (1 - NEAR_TIE)
+    assert _two_pop_h(side_a, side_b) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def search_record(monkeypatch, game, n, m, rule=CostRule.LOGIT):
     """The escape with the ``(d, state)`` it expands, in order, and the
     smallest guardrail it finishes under: the search stops at its last
     expansion before the guardrail test.  A settled state is expanded
-    unless ``d + h > U``, h its ``_price`` bound and U the search's cap
+    unless ``d + h > U``, h its ``exit_bound_at`` and U the search's cap
     (read through the module, so a test may replace ``_path_bounds``); the
     guardrail pins that the search counts just those."""
     popped = []
@@ -767,23 +837,21 @@ def search_record(monkeypatch, game, n, m):
     with monkeypatch.context() as patch:
         patch.setattr("ldl.escape.heapq", SimpleNamespace(
             heappush=heapq.heappush, heappop=heappop))
-        res = exit_bruteforce(game, n, m)
+        res = exit_bruteforce(game, n, m, rule)
     settled = {}
     for d, x in popped:  # a stale entry pops after its state
         settled.setdefault(x, d)
-    cap = min(escape._path_bounds(game, n, m, CostRule.LOGIT) * (1 + NEAR_TIE),
+    cap = min(escape._path_bounds(game, n, m, rule) * (1 + NEAR_TIE),
               sys.float_info.max)
     counts = _digits(list(settled), n + 1, game.k * len(game.populations))
-    h = [0.0] * len(settled)
-    if isinstance(game, OnePopGame) and _exit_bound(game, n, m):
-        h = _price(game, CostRule.LOGIT, (m,), None, counts, *_exit_bound(game, n, m))[2]
+    h = exit_bound_at(game, n, m, rule, counts)
     expanded = [(d, tuple(x)) for d, x, b in zip(settled.values(), counts.tolist(), h)
                 if not d + b > cap]  # states as digit tuples, alpha's then beta's
     least = max(len(expanded) - 1, 1)
-    exit_bruteforce(game, n, m, guardrail=least)
+    exit_bruteforce(game, n, m, rule, guardrail=least)
     if least > 1:
         with pytest.raises(GuardrailExceeded):
-            exit_bruteforce(game, n, m, guardrail=least - 1)
+            exit_bruteforce(game, n, m, rule, guardrail=least - 1)
     return res.cost, res.witness.states, expanded, least
 
 
@@ -796,20 +864,48 @@ def assert_pruned_search_is_the_full_one(pruned, full):
     assert pruned[3] <= full[3]
 
 
+# The least guardrail each demand-game escape finishes under, with h and
+# with both prunings off, under LOGIT and INTENTIONAL.
+DEMAND_GUARDRAILS = {
+    CostRule.LOGIT: [(717, 2909), (933, 4308), (1491, 6180), (37, 2077), (3, 75),
+                     (125, 956)],
+    CostRule.INTENTIONAL: [(45, 70), (155, 202), (837, 970), (33, 659), (3, 28),
+                           (26, 56)],
+}
+
+
 @pytest.mark.parametrize("game, n, m", [(g, 40, m) for g, m in DEMAND_ESCAPES]
                          + [(TECH, 480, 0)])
 def test_bound_changes_no_answer(monkeypatch, game, n, m):
-    # U = inf turns both prunings off.  Without h (the demand games) the
-    # searches expand the same states; with it (TECH) a subsequence.
-    pruned = search_record(monkeypatch, game, n, m)
-    monkeypatch.setattr("ldl.escape._path_bounds", lambda *args: math.inf)
-    full = search_record(monkeypatch, game, n, m)
-    assert_pruned_search_is_the_full_one(pruned, full)
-    if isinstance(game, TwoPopGame):
-        assert pruned == full
-    else:
-        assert [x for _, x in pruned[2]] == list(pruned[1])
-        assert len(full[2]) == 10797
+    # U = inf turns both prunings off.  With them the search expands an
+    # in-order subsequence of the same states: for TECH just its witness.
+    two_pop = isinstance(game, TwoPopGame)
+    for rule in (CostRule.LOGIT, CostRule.INTENTIONAL) if two_pop else (CostRule.LOGIT,):
+        with monkeypatch.context() as patch:
+            pruned = search_record(patch, game, n, m, rule)
+            patch.setattr("ldl.escape._path_bounds", lambda *args: math.inf)
+            full = search_record(patch, game, n, m, rule)
+        assert_pruned_search_is_the_full_one(pruned, full)
+        if two_pop:
+            case = DEMAND_ESCAPES.index((game, m))
+            assert (pruned[3], full[3]) == DEMAND_GUARDRAILS[rule][case]
+        else:
+            assert [x for _, x in pruned[2]] == list(pruned[1])
+            assert len(full[2]) == 10797
+
+
+def test_demand_escapes_keep_their_cost_bits_and_witnesses():
+    # sha256 of each escape's cost bits, witness states and moves, LOGIT
+    # then INTENTIONAL, as the search without h returned them.
+    digest = hashlib.sha256()
+    for rule in (CostRule.LOGIT, CostRule.INTENTIONAL):
+        for game, m in DEMAND_ESCAPES:
+            res = exit_bruteforce(game, 40, m, rule)
+            digest.update(repr((res.cost.hex(), res.witness.states,
+                                [(mv.src, mv.dst, mv.pop) for mv in res.witness.moves])
+                               ).encode())
+    assert digest.hexdigest() == ("cd4c6fabb1e80655dabc990b1ee51a258fef3b03"
+                                  "ac7b0e0c7e9291c2a5ca12ee")
 
 
 @pytest.mark.parametrize("game, m", DEMAND_ESCAPES)
@@ -821,31 +917,42 @@ def test_two_run_bound_is_the_demand_game_escape_cost(game, m):
 
 def test_bound_prunes_the_priced_rows(monkeypatch):
     # NDG L = 6, n = 40, from demand 2: the search priced 2,037 rows
-    # before moves above the bound were dropped.
+    # before moves above the bound were dropped, and 1,178 before h pruned
+    # the expansions.
     rows = []
 
-    def counting(game, rule, targets, pop, counts):
-        rows.append(len(counts))
-        return _price(game, rule, targets, pop, counts)
+    def counting(*args):
+        rows.append(len(args[4]))
+        return _price(*args)
 
     monkeypatch.setattr("ldl.escape._price", counting)
     exit_bruteforce(NDG, 40, 2)
-    assert sum(rows) == 1178
+    assert sum(rows) == 919
 
 
-def exit_costs(game, n, m):
+def exit_costs(game, n, m, rule=CostRule.LOGIT):
     """The least cost from each state of m's basin to a state outside it,
-    by one Dijkstra run backwards from every outside state over the logit
-    moves as ``cost_vector`` prices them; ``inf`` where no path leaves."""
+    by one Dijkstra run backwards from every outside state over ``rule``'s
+    moves (both populations' for two) as ``cost_vector`` prices them;
+    ``inf`` where no path leaves.  Also every move out of a basin state, as
+    (x, w, y)."""
     k = game.k
     states = list(enumerate_states(n, k))
+    if isinstance(game, TwoPopGame):
+        states = [(a, b) for a in states for b in states]
     inside = {x for x in states if in_basin(game, x, m)}
-    into = {x: [] for x in states}  # y: (w, x) for each move x -> y, x inside
+    moves = []
     for x in inside:
-        row = cost_vector(game, CostRule.LOGIT, payoff_vector(game, x), 0, None)
-        for i, j in zip(*np.nonzero(~np.eye(k, dtype=bool))):
-            if x[i]:
-                into[apply_move(x, Move(int(i), int(j)))].append((float(row[j]), x))
+        for pop in game.populations:
+            own, faced = (x, x) if pop is None else x if pop == "alpha" else x[::-1]
+            row = cost_vector(game, rule, _FACED_PAYOFFS[pop](game, faced), 0, pop)
+            for i, j in zip(*np.nonzero(~np.eye(k, dtype=bool))):
+                if own[i]:
+                    y = apply_move(x, Move(int(i), int(j), pop))
+                    moves.append((x, float(row[j]), y))
+    into = {x: [] for x in states}  # y: (w, x) for each move x -> y, x inside
+    for x, w, y in moves:
+        into[y].append((w, x))
     cost = {x: 0.0 for x in states if x not in inside}
     heap = [(0.0, x) for x in cost]
     heapq.heapify(heap)
@@ -857,26 +964,43 @@ def exit_costs(game, n, m):
             if c + w < cost.get(x, math.inf):
                 cost[x] = c + w
                 heapq.heappush(heap, (c + w, x))
-    return {x: cost.get(x, math.inf) for x in inside}
+    return {x: cost.get(x, math.inf) for x in inside}, moves
+
+
+def assert_exit_bound_is_admissible(game, n, m, rule):
+    """h, with its rounding margin, never exceeds the exact cost still to
+    pay from a basin state, drops by at most w on a move of weight w
+    (consistent, up to the ulps by which the bits of a lead that a move
+    leaves unchanged still differ), and is positive at the convention."""
+    exact, moves = exit_costs(game, n, m, rule)
+    rows = [sum(x, ()) for x in exact] if isinstance(game, TwoPopGame) else list(exact)
+    h = dict(zip(exact, exit_bound_at(game, n, m, rule, np.array(rows))))
+    assert all(h[x] <= c for x, c in exact.items()), (m, n, rule)
+    assert all(h[x] <= w + h.get(y, 0.0) + 1e-12 for x, w, y in moves), (m, n, rule)
+    assert h[convention_state(game, n, m)] > 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(make=st.sampled_from((random_condition_a_games, random_decimal_games)),
        seed=st.integers(0, 2**16), k=st.sampled_from((3, 4)), n=st.integers(1, 24))
 def test_exit_bound_is_admissible(make, seed, k, n):
-    # h, with its rounding margin, never exceeds the exact cost still to pay
-    # from any basin state: k = 3 at n <= 24, k = 4 at n <= 12.
+    # k = 3 at n <= 24, k = 4 at n <= 12.
     games = make(1, seed=seed, k=k)
     assume(games)
     game, n = games[0], n if k == 3 else (n + 1) // 2
     for m in range(k):
-        bound = _exit_bound(game, n, m)
-        if not bound:  # no bound: a free move into m can close its lead
-            continue
-        exact = exit_costs(game, n, m)
-        h = _price(game, CostRule.LOGIT, (m,), None, np.array(list(exact)), *bound)[2]
-        assert all(b <= c for b, c in zip(h, exact.values())), (m, n)
-        assert h[list(exact).index(convention_state(game, n, m))] > 0
+        if _exit_bound(game, n, m):  # else a free move into m can close its lead
+            assert_exit_bound_is_admissible(game, n, m, CostRule.LOGIT)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(game=st.sampled_from((NDG_L4, TWO_POP_2X2)), n=st.integers(1, 8),
+       rule=st.sampled_from((CostRule.LOGIT, CostRule.INTENTIONAL)))
+def test_exit_bound_is_admissible_two_pop(game, n, rule):
+    # Both games bound every escape: no free move closes either lead.
+    for m in range(game.k):
+        assert _exit_bound(game, n, m)
+        assert_exit_bound_is_admissible(game, n, m, rule)
 
 
 # One search per source against one reference search per ordered pair
